@@ -20,6 +20,11 @@ the two store contracts that make the service trustworthy:
    Prometheus text exposition, and ``GET /jobs/<fp>/timeline`` yields a
    job timing summary (printed below the checks).
 
+4. **Journal hardening** — a truncated journal entry and one naming a
+   disallowed callable are planted in the store before the first start;
+   the daemon must still come up healthy, drop both (counted by
+   ``repro_service_journal_dropped_total``) and run neither.
+
 Run from the repository root::
 
     python scripts/smoke_test.py
@@ -35,6 +40,7 @@ and that a resubmission is a store hit.
 Exit status 0 on success, 1 on any failed check.
 """
 
+import json
 import os
 import re
 import signal
@@ -52,7 +58,12 @@ from repro.api import Session, Yield  # noqa: E402
 from repro.api.fingerprint import fingerprint  # noqa: E402
 from repro.api.seeding import EXPERIMENT_SEED  # noqa: E402
 from repro.api.serialize import dumps  # noqa: E402
-from repro.service import ServiceClient, ServiceError, scrub_envelope  # noqa: E402
+from repro.service import (  # noqa: E402
+    ResultStore,
+    ServiceClient,
+    ServiceError,
+    scrub_envelope,
+)
 from repro.stats import ParameterMetric  # noqa: E402
 
 STORE = os.environ.get("SMOKE_STORE", os.path.join(REPO_ROOT, ".smoke-store"))
@@ -150,6 +161,34 @@ def print_job_timing(client: ServiceClient, job) -> None:
         extra = {k: v for k, v in entry.items() if k not in ("t", "event")}
         detail = f"  {extra}" if extra else ""
         print(f"[smoke]   +{entry['t'] - t0:8.3f}s {entry['event']}{detail}")
+
+
+def plant_bad_journals() -> list:
+    """Journal entries a crash or an intruder could leave in the store."""
+    store = ResultStore(STORE)
+    planted = {
+        "1" * 64: '{"fingerprint": "111", "seed": 0, "spe',   # truncated
+        "2" * 64: json.dumps({
+            "fingerprint": "2" * 64, "seed": EXPERIMENT_SEED,
+            "spec": {"__dataclass__": "builtins:print",
+                     "fields": {"end": "journal probe ran"}},
+        }),
+    }
+    for fp, text in planted.items():
+        with open(store.journal_path(fp), "w") as handle:
+            handle.write(text)
+    return [store.journal_path(fp) for fp in planted]
+
+
+def check_journal_drops(client: ServiceClient, planted: list) -> None:
+    """Both planted journal entries were dropped, counted and cleared."""
+    series = client.metrics().get(
+        "repro_service_journal_dropped_total", {}).get("series", [])
+    dropped = series[0]["value"] if series else None
+    check("bad journal entries dropped at startup", dropped == 2,
+          f"repro_service_journal_dropped_total={dropped}")
+    check("dropped journal entries cleared",
+          not any(os.path.exists(path) for path in planted))
 
 
 def yield_spec(technology, n_samples: int) -> Yield:
@@ -252,12 +291,14 @@ def main() -> int:
     shutil.rmtree(STORE, ignore_errors=True)
     port = free_port()
     client = ServiceClient(f"http://127.0.0.1:{port}", timeout=120.0)
+    planted = plant_bad_journals()
 
     print(f"[smoke] starting daemon on port {port}, store {STORE}")
     daemon = start_daemon(port)
     try:
         wait_healthy(client, daemon)
         check("daemon healthy", True)
+        check_journal_drops(client, planted)
 
         # The local reference session: same default technology, same
         # seed, serial executor — the service's envelope contract.

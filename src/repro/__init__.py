@@ -4,7 +4,7 @@ The package provides:
 
 * :mod:`repro.api` — the public entry point: a declarative
   ``Session``/``AnalysisSpec`` API over every analysis and experiment
-  (seeding, backend selection, plan caching, uniform ``Result``
+  (seeding, plan caching, execution, uniform ``Result``
   envelopes, the experiment registry);
 * :mod:`repro.devices` — the Virtual Source compact model and a BSIM4-lite
   "golden" model, both vectorized over a Monte-Carlo sample axis;

@@ -9,7 +9,6 @@ Usage::
     python -m repro fig5 --quick         # reduced sample counts
     python -m repro fig5 --json          # machine-readable Result envelope
     python -m repro fig5 --seed 7        # reseed the whole session
-    python -m repro fig5 --backend generic   # force per-element MNA
     python -m repro fig9 --workers 4     # sharded multi-process Monte-Carlo
     python -m repro fig9 --workers 4 --shard-size 256   # explicit shards
     python -m repro fig9 --trace out.trace.json  # Chrome-traceable run spans
@@ -23,7 +22,7 @@ Usage::
 
 Every experiment is a declarative entry in the :mod:`repro.api`
 registry and executes through one :class:`repro.api.Session`, which
-owns the technology, the seed tree, backend selection and the compiled
+owns the technology, the seed tree, the executor and the compiled
 plan cache.  Default output is the experiment's human-readable report;
 ``--json`` dumps the uniform ``Result`` envelope instead.
 """
@@ -198,11 +197,6 @@ def main(argv=None) -> int:
              "golden figures are pinned to it)",
     )
     parser.add_argument(
-        "--backend", choices=("compiled", "generic"), default=None,
-        help="force the circuit assembly backend for every analysis "
-             "(default: auto — compile when the netlist supports it)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None,
         help="parallel workers for statistical Monte-Carlo.  Any "
              "explicit value — including 1 — engages the sharded "
@@ -265,7 +259,6 @@ def main(argv=None) -> int:
         tracer = Tracer()
     session = Session(
         **({} if args.seed is None else {"seed": args.seed}),
-        backend=args.backend or "auto",
         executor=args.workers,
         shard_size=args.shard_size,
         tracer=tracer,

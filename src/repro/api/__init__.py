@@ -29,7 +29,6 @@ from repro.api.seeding import EXPERIMENT_SEED, SeedScope, SeedTree, derived_rng
 from repro.api.session import Session, default_session
 from repro.api.specs import (
     AC,
-    BACKENDS,
     SEED_MODES,
     AnalysisSpec,
     Characterize,
@@ -68,7 +67,6 @@ __all__ = [
     "SEED_MODES",
     "ExperimentSpec",
     "Execution",
-    "BACKENDS",
     "Result",
     "SweepResult",
     "jsonify",

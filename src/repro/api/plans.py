@@ -7,8 +7,8 @@ has a central owner: a :class:`PlanCache` attached by the
 build.  Plans are still keyed by the PR-1 fingerprint
 (``Circuit._param_fingerprint``: parameter-object identities + element
 batch shapes), but live in one bounded LRU structure with hit/miss
-accounting — the handle later scaling work (sharding, cross-run reuse,
-multi-backend planning) needs.
+accounting — the handle later scaling work (sharding, cross-run reuse)
+needs.
 
 Entries hold only a *weak* reference to their circuit and are dropped
 the moment the circuit is garbage-collected, so the cache never
@@ -22,7 +22,7 @@ level misses (a fresh per-shard circuit, say), the circuit's
 element types + model class/polarity/temperature, never parameter
 values — is looked up in a cache of value-free
 :class:`~repro.circuit.compiled.PlanStructure` objects.  A structural
-hit skips index bookkeeping and kernel emission entirely and only
+hit skips index bookkeeping entirely and only
 *binds* the circuit's values, which is what kills the per-shard
 recompile storm: a sharded run performs one structure compile per
 distinct circuit topology, not one per shard.  Structures are
@@ -53,7 +53,7 @@ _STRUCT_HITS = _REGISTRY.counter(
     "Structural plan-cache hits (value binding only, no compile)")
 _STRUCT_COMPILES = _REGISTRY.counter(
     "repro_plan_cache_structural_compiles_total",
-    "Structural plan compilations (index bookkeeping + kernel emission)")
+    "Structural plan compilations (index bookkeeping + scatter programs)")
 _COMPILE_SECONDS = _REGISTRY.histogram(
     "repro_plan_compile_seconds", "Circuit plan compilation latency")
 
@@ -129,7 +129,7 @@ class PlanCache:
         )
 
         # Structural level: same topology -> reuse the index bookkeeping
-        # and specialized kernel, only bind this circuit's values.
+        # and scatter programs, only bind this circuit's values.
         skey = structural_fingerprint(circuit)
         structure = None
         if skey is not None:

@@ -5,8 +5,8 @@ Experiment modules register their ``run`` function with the
 that used to live in a hand-maintained dict inside ``__main__``.  The
 CLI — and any other driver — iterates :func:`names` /
 :func:`get` and executes entries through a
-:class:`~repro.api.session.Session`, which owns seeding and backend
-selection and wraps the output in a :class:`~repro.api.result.Result`.
+:class:`~repro.api.session.Session`, which owns seeding and plan
+caching and wraps the output in a :class:`~repro.api.result.Result`.
 """
 
 from __future__ import annotations

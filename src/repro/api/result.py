@@ -63,11 +63,13 @@ class Result:
     payload: Any
     #: Verbatim echo of the spec that produced the payload.
     spec: AnalysisSpec
-    #: Backend that executed the run: ``compiled``, ``generic`` (MNA
-    #: paths) or ``device`` for device-level statistical analyses.  For
-    #: registry-experiment envelopes — which may run many circuits —
-    #: this is the session's backend *policy* instead (``auto``
-    #: resolves per circuit; ``compiled``/``generic`` were forced).
+    #: Assembly path that executed the run: ``compiled`` or ``generic``
+    #: (per-element MNA, for netlists the planner cannot handle) for
+    #: circuit analyses, ``device`` for device-level statistical
+    #: analyses, and ``auto`` for runs that may solve many circuits
+    #: (experiments, factory maps, characterization) — each circuit
+    #: resolves its own path.  Envelopes stored before the path became
+    #: automatic may carry ``compiled``/``generic`` there instead.
     backend: str
     #: Root seed of the run's random streams (None for deterministic runs).
     seed: Optional[int] = None

@@ -1,15 +1,18 @@
 """The `Session` facade: one entry point for every analysis.
 
-A :class:`Session` owns the four cross-cutting concerns that every
-analysis and experiment used to re-implement by hand:
+A :class:`Session` owns the cross-cutting concerns that every analysis
+and experiment used to re-implement by hand:
 
 * the characterized **technology** (defaults to the shared 40-nm kit);
 * a **seed tree** (`SeedSequence`-based, legacy-stream compatible) that
   hands out every random stream;
-* **backend selection** — compiled device-stacked assembly vs. generic
-  per-element MNA — session-wide with per-spec override;
 * the **plan cache** of compiled assemblies, injected into every
-  circuit built through the session's device factories.
+  circuit built through the session's device factories;
+* the **executor** that shards statistical workloads.
+
+Circuit solves always use the compiled device-stacked assembly when the
+netlist can be planned and the per-element MNA path when it cannot;
+circuit envelopes record which one ran (``Result.backend``).
 
 Analyses are described by frozen :mod:`repro.api.specs` dataclasses and
 executed with :meth:`Session.run` (blocking) or :meth:`Session.submit`
@@ -36,7 +39,6 @@ from repro.api.result import Result
 from repro.api.seeding import EXPERIMENT_SEED, SeedScope, SeedTree
 from repro.api.specs import (
     AC,
-    BACKENDS,
     AnalysisSpec,
     Characterize,
     CharacterizeLibrary,
@@ -75,7 +77,7 @@ def _executor_key(instance):
 
 
 class Session:
-    """Facade over the technology, seeding, backends, and plan cache.
+    """Facade over the technology, seeding, plan cache, and executors.
 
     Parameters
     ----------
@@ -86,10 +88,6 @@ class Session:
     seed:
         Root of the session's seed tree.  The default keeps every
         experiment bit-identical to the historical per-module seeding.
-    backend:
-        Session-wide backend: ``auto`` (compile when possible),
-        ``compiled`` (require the vectorized plan) or ``generic``
-        (force per-element assembly).  Specs may override per run.
     executor:
         Session-wide parallelism for statistical workloads: ``None``/1
         for serial, an integer >= 2 for a process pool of that many
@@ -123,20 +121,16 @@ class Session:
         self,
         technology=None,
         seed: int = EXPERIMENT_SEED,
-        backend: str = "auto",
         plan_cache: Optional[PlanCache] = None,
         executor=None,
         shard_size: Optional[int] = None,
         tracer=None,
         metrics=None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if shard_size is not None and shard_size <= 0:
             raise ValueError("shard_size must be positive")
         self._technology = technology
         self.seeds = SeedTree(seed)
-        self.backend = backend
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: Guards the executor cache — submit() handles run analyses on
         #: background threads that share this session's pools.
@@ -349,7 +343,7 @@ class Session:
         """Monte-Carlo device factory drawing from the session seed tree.
 
         Circuits built by cell builders from this factory inherit the
-        session's plan cache and backend selection.
+        session's plan cache.
         """
         from repro.cells.factory import MonteCarloDeviceFactory
 
@@ -371,41 +365,28 @@ class Session:
     def equip(self, factory):
         """Adopt a locally constructed factory into this session.
 
-        Attaches the session's plan cache and backend selection, so
-        circuits built from custom :class:`DeviceFactory` subclasses
-        (corner factories, replay factories...) honor the session policy
-        exactly like factories born from :meth:`mc_factory`.
+        Attaches the session's plan cache, so circuits built from custom
+        :class:`DeviceFactory` subclasses (corner factories, replay
+        factories...) share compiled plans exactly like factories born
+        from :meth:`mc_factory`.
         """
         return self._equip(factory)
 
     def _equip(self, factory):
         factory.plan_cache = self.plan_cache
-        factory.backend = None if self.backend == "auto" else self.backend
         return factory
 
     # ------------------------------------------------------------------
     # Circuit configuration.
     # ------------------------------------------------------------------
-    def configure(self, circuit, backend: Optional[str] = None):
-        """Attach the session plan cache + backend selection to *circuit*.
+    def configure(self, circuit):
+        """Attach the session plan cache to *circuit*.
 
         Called automatically for circuits built through session
         factories; call it directly for hand-built netlists.
         """
         circuit.plan_cache = self.plan_cache
-        circuit.set_backend(backend or self.backend)
         return circuit
-
-    def _circuit_backend(self, circuit) -> str:
-        """The backend a configured circuit actually uses.
-
-        Forced modes are authoritative (a 'compiled' solve would have
-        raised if the plan were missing); only 'auto' needs to probe the
-        cached plan.
-        """
-        if circuit.backend in ("compiled", "generic"):
-            return circuit.backend
-        return "compiled" if circuit.compiled() is not None else "generic"
 
     # ------------------------------------------------------------------
     # Analysis execution.
@@ -537,53 +518,44 @@ class Session:
         from repro.circuit.dcsweep import dc_sweep
         from repro.circuit.transient import transient
 
-        # A per-spec backend override is scoped to this run; the
-        # session-level policy (spec.backend None) persists on the
-        # circuit, matching what session factories configure at build.
-        prior_backend = circuit.backend
-        self.configure(circuit, backend=spec.backend)
-        try:
-            hints = spec.hints_dict()
-            v0 = initial_guess(circuit, hints) if hints else None
+        self.configure(circuit)
+        hints = spec.hints_dict()
+        v0 = initial_guess(circuit, hints) if hints else None
 
-            start = time.perf_counter()
-            if isinstance(spec, DCOp):
-                payload = dc_operating_point(circuit, v0=v0, t=spec.t)
-            elif isinstance(spec, Transient):
-                payload = transient(
-                    circuit,
-                    spec.t_stop,
-                    spec.dt,
-                    t_start=spec.t_start,
-                    method=spec.method,
-                    record_every=spec.record_every,
-                    dc_guess=v0,
-                )
-            elif isinstance(spec, AC):
-                payload = ac_analysis(
-                    circuit,
-                    np.asarray(spec.frequencies),
-                    ac_sources=spec.ac_sources,
-                    amplitudes=spec.amplitudes_dict(),
-                    v_op=v0 if v0 is None else dc_operating_point(circuit, v0=v0),
-                )
-            else:  # DCSweep
-                payload = dc_sweep(
-                    circuit, spec.source, np.asarray(spec.values), v0=v0
-                )
-            elapsed = time.perf_counter() - start
-            # Snapshot cache accounting first (so it reflects only the
-            # solve), then resolve which backend actually executed —
-            # probed after the run so the first compile is inside the
-            # timed window, while the override is still applied.
-            meta = {"plan_cache": self.plan_cache.stats()}
-            backend = self._circuit_backend(circuit)
-        finally:
-            if spec.backend is not None:
-                circuit.set_backend(prior_backend)
+        start = time.perf_counter()
+        if isinstance(spec, DCOp):
+            payload = dc_operating_point(circuit, v0=v0, t=spec.t)
+        elif isinstance(spec, Transient):
+            payload = transient(
+                circuit,
+                spec.t_stop,
+                spec.dt,
+                t_start=spec.t_start,
+                method=spec.method,
+                record_every=spec.record_every,
+                dc_guess=v0,
+            )
+        elif isinstance(spec, AC):
+            payload = ac_analysis(
+                circuit,
+                np.asarray(spec.frequencies),
+                ac_sources=spec.ac_sources,
+                amplitudes=spec.amplitudes_dict(),
+                v_op=v0 if v0 is None else dc_operating_point(circuit, v0=v0),
+            )
+        else:  # DCSweep
+            payload = dc_sweep(
+                circuit, spec.source, np.asarray(spec.values), v0=v0
+            )
+        elapsed = time.perf_counter() - start
+        # Snapshot cache accounting first (so it reflects only the
+        # solve), then resolve which assembly path executed — probed
+        # after the run so the first compile is inside the timed window.
+        meta = {"plan_cache": self.plan_cache.stats()}
+        backend = "compiled" if circuit.compiled() is not None else "generic"
 
         if isinstance(spec, AC):
-            # The backend governs the embedded DC operating point; the
+            # The path governs the embedded DC operating point; the
             # linearization + phasor solves always run per-element.
             meta["ac_phasor_path"] = "generic"
         return Result(
@@ -800,7 +772,6 @@ class Session:
                 args.pop("plan"),
                 args.pop("executor"),
                 model=spec.model,
-                backend=None if self.backend == "auto" else self.backend,
                 coalesce=getattr(execution, "coalesce", True),
                 **args,
             )
@@ -809,7 +780,7 @@ class Session:
         return Result(
             payload=payload,
             spec=spec,
-            backend=self.backend,
+            backend="auto",
             seed=base_seed,
             n_samples=spec.n_samples if info is None else info.n_samples,
             wall_time_s=elapsed,
@@ -843,7 +814,6 @@ class Session:
             cell_specs, library_name = (spec.cell,), "repro_vs_40nm"
         adapters = tuple(get_adapter(cell) for cell in cell_specs)
         base_seed, spawn_prefix = self._seed_basis(spec.seed_offset, scope)
-        backend = spec.backend or (None if self.backend == "auto" else self.backend)
         task = CharGridTask(
             technology=self.technology,
             adapters=adapters,
@@ -853,7 +823,6 @@ class Session:
             n_mc=spec.n_mc,
             model=spec.model,
             base_seed=base_seed,
-            backend=backend,
             spawn_prefix=spawn_prefix,
         )
         execution = self._spec_execution(spec, inherit_execution)
@@ -870,7 +839,7 @@ class Session:
         return Result(
             payload=payload,
             spec=spec,
-            backend=self.backend,
+            backend="auto",
             seed=base_seed if spec.n_mc else None,
             n_samples=spec.n_mc or None,
             wall_time_s=elapsed,
@@ -930,7 +899,7 @@ class Session:
 
         The experiment's declared quick/full preset supplies the keyword
         arguments; *overrides* are applied on top.  The experiment
-        receives this session (seeding, factories, backend, plan cache)
+        receives this session (seeding, factories, plan cache)
         and its result dataclass becomes the envelope payload.
         """
         defn = (
@@ -967,7 +936,7 @@ class Session:
         return Result(
             payload=payload,
             spec=ExperimentSpec(name=defn.name, kwargs=tuple(kwargs.items())),
-            backend=self.backend,
+            backend="auto",
             seed=self.seed,
             n_samples=kwargs.get("n_samples"),
             wall_time_s=elapsed,

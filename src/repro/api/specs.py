@@ -1,8 +1,8 @@
 """Declarative analysis specifications.
 
 An :class:`AnalysisSpec` is a frozen, validated description of *what* to
-run; the :class:`~repro.api.session.Session` decides *how* (backend,
-seeding, plan caching) and wraps the output in a uniform
+run; the :class:`~repro.api.session.Session` decides *how* (seeding,
+plan caching, execution) and wraps the output in a uniform
 :class:`~repro.api.result.Result` envelope.  Specs are plain data: they
 can be constructed up front, stored, compared, and echoed verbatim into
 result metadata.
@@ -35,15 +35,8 @@ __all__ = [
     "Sweep",
     "ExperimentSpec",
     "Execution",
-    "BACKENDS",
     "SEED_MODES",
 ]
-
-#: Valid backend selections.  ``auto`` compiles when the netlist supports
-#: it; ``compiled`` requires the vectorized plan (raises otherwise);
-#: ``generic`` forces the per-element MNA assembly.
-BACKENDS = ("auto", "compiled", "generic")
-
 
 def _freeze_pairs(mapping) -> Optional[Tuple[Tuple[str, Any], ...]]:
     """Normalize an optional mapping to a hashable, ordered pair tuple."""
@@ -52,13 +45,6 @@ def _freeze_pairs(mapping) -> Optional[Tuple[Tuple[str, Any], ...]]:
     if isinstance(mapping, tuple):
         mapping = dict(mapping)
     return tuple((str(k), mapping[k]) for k in mapping)
-
-
-def _check_backend(backend: Optional[str]) -> None:
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS} or None, got {backend!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -187,12 +173,9 @@ class _CircuitSpec(AnalysisSpec):
     node_hints: Optional[Tuple[Tuple[str, float], ...]] = field(
         default=None, kw_only=True
     )
-    #: Per-spec backend override; ``None`` defers to the session.
-    backend: Optional[str] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "node_hints", _freeze_pairs(self.node_hints))
-        _check_backend(self.backend)
 
     def hints_dict(self) -> Optional[Dict[str, float]]:
         """Node hints back as the dict the solvers consume."""
@@ -490,7 +473,6 @@ class _CharacterizeBase(AnalysisSpec):
     n_mc: int = field(default=0, kw_only=True)
     model: str = field(default="vs", kw_only=True)
     seed_offset: int = field(default=0, kw_only=True)
-    backend: Optional[str] = field(default=None, kw_only=True)
     #: Sharding/parallelism options; stopping/checkpointing do not apply
     #: to a fixed grid and are ignored.
     execution: Optional[Execution] = field(default=None, kw_only=True)
@@ -504,7 +486,6 @@ class _CharacterizeBase(AnalysisSpec):
             raise ValueError("n_mc must be >= 0")
         if self.model not in ("vs", "bsim"):
             raise ValueError(f"model must be 'vs' or 'bsim', got {self.model!r}")
-        _check_backend(self.backend)
         _check_execution(self.execution)
 
     @staticmethod

@@ -13,7 +13,7 @@ cartesian grid; this module is the orchestration behind
 * :class:`SweepPointTask` is the picklable shard task: a shard covers a
   contiguous flat range of grid points, each evaluated through a
   worker-local :class:`~repro.api.session.Session` (process plan cache,
-  same root seed/backend policy as the parent).  Because every point
+  same root seed as the parent).  Because every point
   owns its stream, sweep output is **bit-identical at every worker
   count and every sweep shard size** — shard size is scheduling
   granularity only, like the PR-4 characterization grid.
@@ -125,7 +125,6 @@ class SweepPointTask:
     technology: object
     sweep: Sweep
     root_seed: int
-    backend: str
 
     def _session(self):
         from repro.api.session import Session
@@ -134,7 +133,6 @@ class SweepPointTask:
         return Session(
             technology=self.technology,
             seed=self.root_seed,
-            backend=self.backend,
             plan_cache=_process_plan_cache(),
         )
 
@@ -231,7 +229,6 @@ def run_sweep(
             technology=session.technology,
             sweep=replace(sweep, execution=None),
             root_seed=session.seed,
-            backend=session.backend,
         )
         plan = plan_shards(n_points, points_per_shard, base_seed)
         run = run_sharded(

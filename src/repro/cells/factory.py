@@ -40,21 +40,16 @@ class DeviceFactory(abc.ABC):
     #: Session-owned plan cache to attach to circuits built from this
     #: factory (None -> circuits keep their private compile cache).
     plan_cache = None
-    #: Backend selection for those circuits ('compiled'/'generic';
-    #: None -> leave the circuit's default 'auto' mode).
-    backend = None
 
     def configure_circuit(self, circuit):
-        """Propagate the session's plan cache/backend onto *circuit*.
+        """Propagate the session's plan cache onto *circuit*.
 
         Cell builders call this on every netlist they assemble, so a
         factory handed out by a :class:`repro.api.Session` carries the
-        session's execution policy into every solve.
+        session's plan cache into every solve.
         """
         if self.plan_cache is not None:
             circuit.plan_cache = self.plan_cache
-        if self.backend is not None:
-            circuit.set_backend(self.backend)
         return circuit
 
 
@@ -150,7 +145,7 @@ class MonteCarloDeviceFactory(DeviceFactory):
         sampled devices — how the Fig. 6 leakage measurement reuses the
         delay run's dice inside one sharded work callable, where the
         seed that built the factory is not in scope.  Session policy
-        (plan cache, backend) carries over.
+        (the plan cache) carries over.
         """
         rng = np.random.Generator(type(self.rng.bit_generator)())
         rng.bit_generator.state = self._initial_rng_state
@@ -162,7 +157,6 @@ class MonteCarloDeviceFactory(DeviceFactory):
             interdie_sigma=self._interdie_sigma,
         )
         twin.plan_cache = self.plan_cache
-        twin.backend = self.backend
         return twin
 
 
@@ -237,7 +231,6 @@ class CoalescedFactory(DeviceFactory):
         """A fresh coalesced factory replaying every member's stream."""
         twin = CoalescedFactory([m.replay() for m in self.members])
         twin.plan_cache = self.plan_cache
-        twin.backend = self.backend
         return twin
 
 
@@ -264,14 +257,6 @@ class RecordingFactory(DeviceFactory):
     @plan_cache.setter
     def plan_cache(self, value):
         self.inner.plan_cache = value
-
-    @property
-    def backend(self):
-        return self.inner.backend
-
-    @backend.setter
-    def backend(self, value):
-        self.inner.backend = value
 
     def __call__(self, polarity: str, w_nm: float, l_nm: float) -> DeviceModel:
         device = self.inner(polarity, w_nm, l_nm)
@@ -312,14 +297,6 @@ class CriticalDeviceFactory(DeviceFactory):
     @plan_cache.setter
     def plan_cache(self, value):
         self.inner.plan_cache = value
-
-    @property
-    def backend(self):
-        return self.inner.backend
-
-    @backend.setter
-    def backend(self, value):
-        self.inner.backend = value
 
     def __call__(self, polarity: str, w_nm: float, l_nm: float) -> DeviceModel:
         index = self.calls

@@ -114,7 +114,6 @@ class CharGridTask:
     n_mc: int = 0
     model: str = "vs"
     base_seed: int = 0
-    backend: Optional[str] = None
     #: Enclosing sweep-point indices: under sweep point *j* grid point
     #: *k* draws from ``SeedSequence(base_seed, spawn_key=(j, k))`` —
     #: the nested sweep/seed contract.
@@ -145,8 +144,6 @@ class CharGridTask:
         else:
             factory = NominalDeviceFactory(self.technology, self.model)
         factory.plan_cache = _process_plan_cache()
-        if self.backend is not None:
-            factory.backend = self.backend
         return factory
 
     def measure_index(self, point_index: int) -> GridPointResult:

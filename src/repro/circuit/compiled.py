@@ -18,8 +18,9 @@ the netlist once:
   device whose parameter card holds arrays of shape ``batch + (n_dev,)``.
   One model evaluation per Newton iteration computes every transistor of
   the circuit across every Monte-Carlo sample; the results are scattered
-  into the Jacobian/residual with precomputed flat index arrays
-  (``np.add.at`` handles coincident entries).
+  into the Jacobian/residual with precomputed duplicate-free scatter
+  rounds (:func:`_scatter_program`) that reproduce ``np.add.at``'s
+  accumulation order bit for bit.
 * **Capacitors** are likewise grouped; their constant charge Jacobian is
   folded into the per-step companion base matrix.
 
@@ -27,26 +28,27 @@ Ground bookkeeping uses an augmented unknown vector: index ``n`` is a
 dump row that absorbs every ground contribution and is sliced off before
 the solve, so no masking appears in the hot loop.
 
-Compilation is split in two (PR 9):
+Compilation is split in two:
 
 * A :class:`PlanStructure` is the **value-free** part — element
-  classification, per-group index arrays, and the specialized numpy
-  assembly kernel emitted by :mod:`repro.codegen.kernels`.  It depends
+  classification, per-group index arrays and scatter programs.  It depends
   only on the circuit's *structural fingerprint*
   (:func:`structural_fingerprint`: topology + element types + model
   class/polarity/temperature, never parameter values or batch shapes),
   so every per-shard circuit a factory stamps out shares one structure.
 * A :class:`CompiledCircuit` **binds** a structure to one circuit's
   values: stacked device cards, the constant conductance matrix, the
-  linear charge Jacobian.  Binding is cheap — no index bookkeeping, no
-  ``exec``.
+  linear charge Jacobian.  Binding is cheap — no index bookkeeping.
+
+DC and transient assembly share one interpreted group loop
+(:meth:`CompiledCircuit._nonlinear` + :meth:`CompiledCircuit._finish`).
+Netlists the planner cannot handle (``Circuit.compiled()`` returns None)
+take the per-element path of :mod:`repro.circuit.dcop` / ``transient``,
+which doubles as the reference the compiled path is tested against.
 
 Sample-for-sample the arithmetic is elementwise, so a batched solve
 reproduces the scalar (``batch = ()``) solve of each sample exactly —
-the property ``tests/test_batched_circuit.py`` locks in.  The emitted
-kernel replays the interpreted path's stamp order operation for
-operation, so kernel and non-kernel assemblies are bitwise identical
-too.
+the property ``tests/test_batched_circuit.py`` locks in.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> Non
     """``target[..., idx] += values`` with accumulation on repeated indices.
 
     *target* has shape ``batch + (M,)``; *values* broadcasts to
-    ``batch + (K,)`` with ``idx`` of shape ``(K,)``.
+    ``batch + (K,)`` with ``idx`` of shape ``(K,)``.  Assembly runs the
+    equivalent :func:`_scatter_program` rounds instead; this plain
+    ``np.add.at`` form is the reference they are tested against.
     """
     values = np.broadcast_to(values, target.shape[:-1] + idx.shape)
     flat_t = target.reshape(-1, target.shape[-1])
@@ -200,7 +204,6 @@ class _MosfetGroupStructure:
         d = np.array([aug(e.d) for e in elements])
         s = np.array([aug(e.s) for e in elements])
         self.g_idx, self.d_idx, self.s_idx = g, d, s
-        self.n_dev = len(elements)
 
         # I-V stamps: residual +ids at d, -ids at s; Jacobian entries
         # (d,g) (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm -gds -gms.
@@ -218,7 +221,7 @@ class _MosfetGroupStructure:
 
         # Scatter programs: duplicate-free rounds equivalent (bitwise) to
         # ``np.add.at`` over the index arrays above; built once per
-        # structure, shared by the interpreted path and the kernel.
+        # structure and shared by every circuit bound from it.
         self.f_prog = _scatter_program(self.f_idx)
         self.j_prog = _scatter_program(self.j_idx)
         self.qf_prog = _scatter_program(self.qf_idx)
@@ -234,7 +237,6 @@ class _MosfetGroup:
         self.g_idx = structure.g_idx
         self.d_idx = structure.d_idx
         self.s_idx = structure.s_idx
-        self.n_dev = structure.n_dev
         self.f_idx = structure.f_idx
         self.j_idx = structure.j_idx
         self.qf_idx = structure.qf_idx
@@ -306,7 +308,7 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
     """Topology-only plan key, or None for unplannable netlists.
 
     Two circuits with equal fingerprints compile to identical index
-    bookkeeping and specialized kernels — only parameter *values* (and
+    bookkeeping and scatter programs — only parameter *values* (and
     batch shapes) differ, and those bind per circuit.  Covers node
     indices, element types and order, and each MOSFET's model
     class/polarity/temperature/derivative mode.  Deliberately excludes
@@ -341,8 +343,8 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
 class PlanStructure:
     """The value-free half of a compiled plan.
 
-    Element classification (slot lists into ``circuit.elements``),
-    stacked-group index arrays, and the specialized assembly kernel.
+    Element classification (slot lists into ``circuit.elements``) and
+    stacked-group index arrays with their scatter programs.
     Built once per structural fingerprint and shared by every
     :class:`CompiledCircuit` bound from it.
     """
@@ -401,13 +403,6 @@ class PlanStructure:
             else None
         )
 
-        # Specialized flat DC assembly kernel (repro.codegen.kernels);
-        # None when emission is disabled, in which case CompiledCircuit
-        # falls back to the interpreted per-group loop.
-        from repro.codegen.kernels import build_dc_kernel
-
-        self.dc_kernel_source, self.dc_kernel = build_dc_kernel(self)
-
 
 class CompiledCircuit:
     """A :class:`PlanStructure` bound to one :class:`Circuit`'s values.
@@ -416,8 +411,8 @@ class CompiledCircuit:
     capacitances); only *waveform* levels may change between solves.
     :meth:`Circuit.add` invalidates the owner's cached compilation.
     Pass a pre-built *structure* (from a circuit with an equal
-    :func:`structural_fingerprint`) to skip the index bookkeeping and
-    kernel emission — the structural-cache fast path of
+    :func:`structural_fingerprint`) to skip the index bookkeeping — the
+    structural-cache fast path of
     :class:`repro.api.plans.PlanCache`.
     """
 
@@ -577,23 +572,8 @@ class CompiledCircuit:
         return _Assembled(jacobian, residual)
 
     def assemble_dc(self, t: float):
-        """DC assembly closure for :func:`repro.circuit.mna.newton_solve`.
-
-        Uses the specialized flat kernel emitted at structure-compile
-        time when available; the interpreted per-group loop otherwise.
-        Both replay the identical stamp order, so the choice is
-        invisible in the bits.
-        """
+        """DC assembly closure for :func:`repro.circuit.mna.newton_solve`."""
         b = self.source_vector(t)
-        kernel = self.structure.dc_kernel
-        if kernel is not None:
-            devices = tuple(grp.device for grp in self.mos_groups)
-            j_const = self.j_const
-
-            def assemble(v: np.ndarray) -> _Assembled:
-                return _Assembled(*kernel(v, j_const, b, devices))
-
-            return assemble
 
         def assemble(v: np.ndarray) -> _Assembled:
             _, res_aug, jac_flat = self._nonlinear(v)

@@ -50,7 +50,6 @@ class Circuit:
         #: Externally owned plan cache (duck-typed ``plan_for(circuit)``),
         #: e.g. :class:`repro.api.plans.PlanCache`; None -> private cache.
         self.plan_cache = None
-        self._backend = "auto"
 
     # ------------------------------------------------------------------
     # Node management.
@@ -179,29 +178,9 @@ class Circuit:
         shapes = tuple(e.batch_shape() for e in self.elements)
         return parts, shapes
 
-    def set_backend(self, mode: str) -> None:
-        """Select the assembly backend for this circuit's solves.
-
-        ``auto`` (default): compile when the netlist supports it, fall
-        back to generic per-element assembly otherwise.  ``compiled``:
-        require the vectorized plan — :meth:`compiled` raises
-        ``UnsupportedCircuitError`` if the netlist cannot be planned.
-        ``generic``: force the per-element path (reference/debug mode).
-        """
-        if mode not in ("auto", "compiled", "generic"):
-            raise ValueError(
-                f"backend must be 'auto', 'compiled' or 'generic', got {mode!r}"
-            )
-        self._backend = mode
-
-    @property
-    def backend(self) -> str:
-        """The selected assembly backend mode."""
-        return self._backend
-
     def compiled(self):
-        """Cached vectorized assembly plan (None for unsupported netlists
-        and for circuits forced onto the generic backend).
+        """Cached vectorized assembly plan (None for unsupported netlists,
+        which the solvers then assemble per element).
 
         Compilation snapshots element parameters; registering a new
         element or rebinding an element's parameters invalidates the
@@ -210,33 +189,20 @@ class Circuit:
         :attr:`plan_cache` is attached, plans live there instead of in
         the private per-circuit slot.
         """
-        if self._backend == "generic":
-            return None
-
         if self.plan_cache is not None:
             # Plans now live in the shared cache: drop any plan the
             # private slot compiled earlier so it is not pinned (and
             # duplicated) for the circuit's remaining lifetime.
             self._compiled = None
-            plan = self.plan_cache.plan_for(self)
-        else:
-            objects, shapes = self._param_fingerprint()
-            if self._compiled is None or not fingerprint_matches(
-                self._compiled[1], self._compiled[2], objects, shapes
-            ):
-                from repro.circuit.compiled import compile_circuit
+            return self.plan_cache.plan_for(self)
+        objects, shapes = self._param_fingerprint()
+        if self._compiled is None or not fingerprint_matches(
+            self._compiled[1], self._compiled[2], objects, shapes
+        ):
+            from repro.circuit.compiled import compile_circuit
 
-                self._compiled = (compile_circuit(self), objects, shapes)
-            plan = self._compiled[0]
-
-        if plan is None and self._backend == "compiled":
-            from repro.circuit.compiled import UnsupportedCircuitError
-
-            raise UnsupportedCircuitError(
-                f"circuit {self.title!r} cannot be compiled but backend "
-                "'compiled' was requested"
-            )
-        return plan
+            self._compiled = (compile_circuit(self), objects, shapes)
+        return self._compiled[0]
 
     def vsources(self) -> List["_el.VoltageSource"]:
         """All voltage sources in netlist order."""

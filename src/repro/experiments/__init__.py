@@ -12,7 +12,7 @@ Every experiment module exposes
 All randomness and device factories come from the
 :class:`repro.api.Session` (the shared default session when ``run`` is
 called bare, as the golden-figure regressions do); no experiment module
-seeds a generator or picks a circuit backend itself.
+seeds a generator itself.
 """
 
 from repro.experiments import common

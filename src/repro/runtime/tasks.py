@@ -210,7 +210,7 @@ class FactoryMapTask:
     """One shard of ``work(factory) -> (n,) array`` circuit Monte-Carlo.
 
     Builds a shard-local :class:`MonteCarloDeviceFactory` seeded by the
-    shard stream, applies the session's backend policy, and runs *work*
+    shard stream, attaches the process plan cache, and runs *work*
     (a picklable callable: module-level function or frozen dataclass).
     Worker processes keep their own compiled-plan caches — plans are
     per-process state, and each long-lived pool worker compiles once.
@@ -226,7 +226,6 @@ class FactoryMapTask:
     technology: object              #: Technology
     work: Callable
     model: str = "vs"
-    backend: Optional[str] = None
     coalesce: bool = True
 
     def _factory(self, shard: Shard):
@@ -239,8 +238,6 @@ class FactoryMapTask:
 
     def _equip(self, factory):
         factory.plan_cache = _process_plan_cache()
-        if self.backend is not None:
-            factory.backend = self.backend
         return factory
 
     def _work(self, factory, n_samples: int) -> np.ndarray:
@@ -288,7 +285,6 @@ def run_factory_map(
     plan: ShardPlan,
     executor: Executor,
     model: str = "vs",
-    backend: Optional[str] = None,
     coalesce: bool = True,
     stop: Optional[StopRule] = None,
     wave_size: Optional[int] = None,
@@ -301,7 +297,7 @@ def run_factory_map(
     shard outputs concatenated along the sample axis in shard order.
     """
     task = FactoryMapTask(
-        technology=technology, work=work, model=model, backend=backend,
+        technology=technology, work=work, model=model,
         coalesce=bool(coalesce),
     )
     return run_array_task(

@@ -33,6 +33,7 @@ from its own wave-boundary state instead of starting over.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import threading
 import time
 import warnings
@@ -41,6 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.fingerprint import fingerprint, strip_execution
 from repro.api.futures import RunCancelled
 from repro.api.serialize import decode, encode
+from repro.cluster.wire import validate_document
 from repro.obs import default_registry, get_logger, log_event
 from repro.api.specs import (
     Characterize,
@@ -76,6 +78,10 @@ _REGISTRY = default_registry()
 _JOB_SECONDS = _REGISTRY.histogram(
     "repro_service_job_seconds",
     "Job wall time from launch to its final state")
+_JOURNAL_DROPPED = _REGISTRY.counter(
+    "repro_service_journal_dropped_total",
+    "Journal entries dropped at recovery (unparsable, disallowed or "
+    "undecodable specs)")
 
 
 class JobError(RuntimeError):
@@ -117,11 +123,18 @@ class Job:
 
 
 class JobRegistry:
-    """Fingerprint-keyed job table over one session and one store."""
+    """Fingerprint-keyed job table over one session and one store.
 
-    def __init__(self, store, session):
+    *allow_modules* are the module roots a journaled spec may import
+    types from at recovery — the daemon's submission allowlist, so a
+    journal file admits nothing an HTTP submission could not.
+    """
+
+    def __init__(self, store, session,
+                 allow_modules: Tuple[str, ...] = ("repro",)):
         self.store = store
         self.session = session
+        self.allow_modules = tuple(allow_modules)
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._watchers: List[threading.Thread] = []
@@ -445,6 +458,10 @@ class JobRegistry:
             if self.store.has(fp):
                 self.store.clear_journal(fp)
                 continue
+            if not isinstance(document, dict) or "spec" not in document:
+                self._drop_journal(fp, "journal entry is not a JSON object "
+                                       "with a spec")
+                continue
             seed = document.get("seed")
             if seed is not None and seed != self.session.seed:
                 # Journaled by a daemon rooted at a different seed: its
@@ -460,7 +477,18 @@ class JobRegistry:
                 )
                 self.store.clear_journal(fp)
                 continue
-            spec = decode(document["spec"])
+            try:
+                validate_document(document["spec"], self.allow_modules)
+                spec = decode(document["spec"])
+                if not isinstance(spec, RUNNABLE_SPECS):
+                    raise JobError(
+                        f"{type(spec).__name__} is not a serveable spec")
+            except Exception as exc:
+                # Journals are files: stale across versions (a spec
+                # field since removed), damaged, or planted.  None of
+                # that may stop the daemon from starting.
+                self._drop_journal(fp, f"{type(exc).__name__}: {exc}")
+                continue
             job, outcome = self.submit(spec)
             if job.fingerprint != fp:
                 # Defensive: the fingerprint algorithm moved between
@@ -473,6 +501,13 @@ class JobRegistry:
                     self._event(job, "recovered", journal=fp)
                 resumed.append(fp)
         return resumed
+
+    def _drop_journal(self, fp: str, reason: str) -> None:
+        """Discard one unreplayable journal entry (logged and counted)."""
+        log_event(_LOG, "journal.dropped", level=logging.WARNING,
+                  journal=fp, reason=reason)
+        _JOURNAL_DROPPED.inc()
+        self.store.clear_journal(fp)
 
     def wait_all(self, timeout: Optional[float] = None) -> None:
         """Block until every running job finalizes (test/shutdown aid)."""

@@ -378,7 +378,8 @@ class AnalysisServer(ThreadingHTTPServer):
             seed=config.seed,
             executor=config.executor,
         )
-        self.registry = JobRegistry(store, session)
+        self.registry = JobRegistry(store, session,
+                                    allow_modules=config.allow_modules)
         self._thread: Optional[threading.Thread] = None
         super().__init__((config.host, config.port), _Handler)
 

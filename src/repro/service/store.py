@@ -147,18 +147,23 @@ class ResultStore:
         except FileNotFoundError:
             pass
 
-    def pending(self) -> Dict[str, Dict[str, Any]]:
+    def pending(self) -> Dict[str, Any]:
         """``{fingerprint: journal document}`` of jobs that never finished.
 
         What :meth:`repro.service.jobs.JobRegistry.recover` replays on
         daemon start; the co-located checkpoints make the replay resume
-        from wave boundaries instead of starting over.
+        from wave boundaries instead of starting over.  An entry that is
+        not valid JSON (a truncated write, a damaged disk) maps to None
+        so recovery can drop it instead of failing the whole replay.
         """
-        out: Dict[str, Dict[str, Any]] = {}
+        out: Dict[str, Any] = {}
         for path in sorted(glob.glob(os.path.join(self._jobs, "*.json"))):
             fingerprint = os.path.splitext(os.path.basename(path))[0]
-            with open(path) as handle:
-                out[fingerprint] = json.load(handle)
+            try:
+                with open(path) as handle:
+                    out[fingerprint] = json.load(handle)
+            except (OSError, ValueError):
+                out[fingerprint] = None
         return out
 
     # ------------------------------------------------------------------

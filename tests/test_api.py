@@ -2,7 +2,7 @@
 
 Covers: spec validation, the SeedSequence seed tree (including its
 bit-compatibility with the legacy per-experiment seeding), session seed
-reproducibility, backend selection/override (compiled vs generic MNA),
+reproducibility, compiled vs per-element (generic) MNA agreement,
 the session plan cache, the `Result` envelope's JSON round trip, the
 experiment registry, and batched-vs-scalar equivalence of the AC and
 DC-sweep analyses driven through `Session.run` (the two analyses
@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import (
     AC,
+    Characterize,
     DCOp,
     DCSweep,
     ImportanceSampling,
@@ -28,8 +29,9 @@ from repro.api import (
     names,
 )
 from repro.cells.factory import RecordingFactory, ScalarReplayFactory
-from repro.cells.inverter import InverterSpec, build_inverter_fo
-from repro.circuit import Resistor, UnsupportedCircuitError
+from repro.cells.inverter import InverterSpec, build_inverter_fo, default_pulse
+from repro.circuit import Circuit, Resistor
+from repro.circuit.dcop import initial_guess
 
 RTOL = 1e-9
 
@@ -110,11 +112,14 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             DCSweep(source="VIN")
 
-    def test_backend_field_validated(self):
-        with pytest.raises(ValueError):
-            DCOp(backend="fortran")
-        with pytest.raises(ValueError):
-            Session(backend="fortran")
+    def test_backend_option_removed(self):
+        """The assembly path is not user-selectable on any surface."""
+        with pytest.raises(TypeError):
+            DCOp(backend="generic")
+        with pytest.raises(TypeError):
+            Characterize(backend="generic")
+        with pytest.raises(TypeError):
+            Session(backend="generic")
 
     def test_node_hints_frozen_but_round_trip(self):
         spec = DCOp(node_hints={"out": 0.9, "vdd": 0.9})
@@ -197,51 +202,73 @@ class TestResultEnvelope:
         assert result.backend == "device"
 
 
+def _per_element(monkeypatch):
+    """Route every circuit through the per-element reference assembly.
+
+    Production picks the path from the netlist alone (compiled when the
+    planner can handle it); tests reach the per-element reference by
+    making every circuit look unplannable.
+    """
+    monkeypatch.setattr(Circuit, "compiled", lambda self: None)
+
+
 class TestBackendSelection:
-    def _circuit(self, session, n_samples=3, seed_offset=21):
+    """Compiled assembly vs the per-element reference, on the inverter."""
+
+    def _circuit(self, session, n_samples=3, seed_offset=21,
+                 input_waveform=None):
         factory = session.mc_factory(n_samples, seed_offset=seed_offset)
-        return build_inverter_fo(factory, InverterSpec(), 0.9)
+        return build_inverter_fo(factory, InverterSpec(), 0.9,
+                                 input_waveform=input_waveform)
 
-    def test_session_backend_flows_to_circuits(self, technology):
-        generic = Session(technology=technology, backend="generic")
-        circuit, hints = self._circuit(generic)
-        result = generic.run(DCOp(node_hints=hints), circuit)
-        assert result.backend == "generic"
-        assert circuit.compiled() is None
+    def _both_paths(self, technology, monkeypatch, spec_for, **circuit_kw):
+        """Run ``spec_for(hints)`` compiled, then per-element."""
+        results = {}
+        for path in ("compiled", "generic"):
+            if path == "generic":
+                _per_element(monkeypatch)
+            session = Session(technology=technology, seed=77)
+            circuit, hints = self._circuit(session, **circuit_kw)
+            results[path] = session.run(spec_for(hints), circuit)
+            assert results[path].backend == path
+        return results["compiled"].payload, results["generic"].payload
 
-    def test_per_spec_override_beats_session(self, technology):
-        generic = Session(technology=technology, backend="generic")
-        circuit, hints = self._circuit(generic)
-        result = generic.run(DCOp(node_hints=hints, backend="compiled"), circuit)
+    def test_plannable_circuit_runs_compiled(self, session):
+        circuit, hints = self._circuit(session)
+        result = session.run(DCOp(node_hints=hints), circuit)
         assert result.backend == "compiled"
+        assert circuit.compiled() is not None
 
-    def test_backends_agree_numerically(self, technology):
-        solutions = {}
-        for backend in ("compiled", "generic"):
-            s = Session(technology=technology, backend=backend, seed=77)
-            circuit, hints = self._circuit(s)
-            solutions[backend] = s.run(DCOp(node_hints=hints), circuit).payload
+    def test_backends_agree_numerically(self, technology, monkeypatch):
+        compiled, generic = self._both_paths(
+            technology, monkeypatch, lambda hints: DCOp(node_hints=hints)
+        )
+        np.testing.assert_allclose(compiled, generic, rtol=1e-7, atol=1e-9)
+
+    def test_transient_paths_agree(self, technology, monkeypatch):
+        compiled, generic = self._both_paths(
+            technology, monkeypatch,
+            lambda hints: Transient(t_stop=60e-12, dt=1e-12,
+                                    node_hints=hints),
+            input_waveform=default_pulse(0.9, t_delay=10e-12),
+        )
         np.testing.assert_allclose(
-            solutions["compiled"], solutions["generic"], rtol=1e-7, atol=1e-9
+            compiled.voltages, generic.voltages, rtol=1e-7, atol=1e-9
         )
 
-    def test_forced_compiled_on_unsupported_netlist_raises(self, session):
+    def test_unplannable_netlist_solves_generic(self, session):
         class OddballResistor(Resistor):
             """Subclass the compiler does not plan (exact-type matching)."""
 
         circuit, hints = self._circuit(session)
         circuit.add(OddballResistor(circuit.node("out"), -1, 1e9, "RX"))
-        with pytest.raises(UnsupportedCircuitError):
-            session.run(DCOp(node_hints=hints, backend="compiled"), circuit)
-        # The per-spec override must not leak onto the circuit: direct
-        # (non-session) solves keep working on the auto fallback.
-        assert circuit.backend == "auto"
+        assert circuit.compiled() is None
         from repro.circuit import dc_operating_point
 
-        dc_operating_point(circuit)
-        # auto falls back to the generic path through the session too.
+        direct = dc_operating_point(circuit, v0=initial_guess(circuit, hints))
         result = session.run(DCOp(node_hints=hints), circuit)
         assert result.backend == "generic"
+        np.testing.assert_array_equal(result.payload, direct)
 
 
 class TestPlanCache:
@@ -286,12 +313,12 @@ class TestPlanCache:
         class CustomFactory(NominalDeviceFactory):
             """Stand-in for corner/replay factories built by callers."""
 
-        generic = Session(technology=technology, backend="generic")
-        factory = generic.equip(CustomFactory(technology, "vs"))
+        session = Session(technology=technology)
+        factory = session.equip(CustomFactory(technology, "vs"))
         circuit, hints = build_inverter_fo(factory, InverterSpec(), 0.9)
-        result = generic.run(DCOp(node_hints=hints), circuit)
-        assert circuit.plan_cache is generic.plan_cache
-        assert result.backend == "generic"
+        result = session.run(DCOp(node_hints=hints), circuit)
+        assert circuit.plan_cache is session.plan_cache
+        assert result.backend == "compiled"
 
 
 class TestACAndDCSweepEquivalence:
@@ -352,18 +379,22 @@ class TestACAndDCSweepEquivalence:
             ).payload["out"]
             np.testing.assert_allclose(batched[:, k], scalar, rtol=RTOL)
 
-    def test_dcsweep_generic_backend_agrees(self, technology):
-        """The same sweep through the forced-generic backend."""
+    def test_dcsweep_generic_backend_agrees(self, technology, monkeypatch):
+        """The same sweep through the per-element reference assembly."""
         spec = InverterSpec()
         values = tuple(np.linspace(0.0, technology.vdd, 5))
         results = {}
         for backend in ("compiled", "generic"):
-            session = Session(technology=technology, seed=515, backend=backend)
+            if backend == "generic":
+                _per_element(monkeypatch)
+            session = Session(technology=technology, seed=515)
             factory = session.mc_factory(3, seed_offset=53)
             circuit, hints = build_inverter_fo(factory, spec, technology.vdd)
-            results[backend] = session.run(
+            result = session.run(
                 DCSweep(source="VIN", values=values, node_hints=hints), circuit
-            ).payload["out"]
+            )
+            assert result.backend == backend
+            results[backend] = result.payload["out"]
         np.testing.assert_allclose(
             results["compiled"], results["generic"], rtol=1e-7, atol=1e-9
         )

@@ -63,8 +63,10 @@ class TestCLI:
         ]
 
     def test_seed_and_backend_flags(self, capsys):
-        assert main(["fig2", "--quick", "--seed", "7",
-                     "--backend", "generic", "--json"]) == 0
+        assert main(["fig2", "--quick", "--seed", "7", "--json"]) == 0
         decoded = json.loads(capsys.readouterr().out)
         assert decoded["seed"] == 7
-        assert decoded["backend"] == "generic"
+        assert decoded["backend"] == "auto"
+        # The assembly path is no longer user-selectable.
+        with pytest.raises(SystemExit):
+            main(["fig5", "--backend", "generic"])

@@ -1,4 +1,4 @@
-"""Fast Newton path (PR 9): analytic derivatives, specialized kernels,
+"""Fast Newton path (PR 9): analytic derivatives, scatter programs,
 coalesced cross-shard execution.
 
 Four contracts are pinned here:
@@ -8,12 +8,12 @@ Four contracts are pinned here:
   ``ids`` across random bias points and card perturbations (hypothesis
   property tests, one per model).
 * **Scatter rounds = np.add.at** — the duplicate-free scatter programs
-  the assembly kernels run are *bitwise* the reference ``np.add.at``
+  the compiled assembly runs are *bitwise* the reference ``np.add.at``
   accumulation for arbitrary index multisets.
 * **Determinism matrix** — the circuit-level Monte-Carlo envelope is
   bit-identical across every fast-path switch: coalescing on/off,
-  specialized kernels on/off, analytic/fd derivatives (values only),
-  1/2 workers, and the legacy unsharded path.
+  analytic/fd derivatives (values only), 1/2 workers, and the legacy
+  unsharded path.
 * **Compile economics** — a sharded fig9-style run performs exactly one
   structure compile per distinct circuit topology, verified through the
   plan-cache metric.
@@ -52,8 +52,7 @@ def _vt0_metric(params):
 
 
 def _fresh_process_cache():
-    """Reset the per-process plan cache (kernels are baked into cached
-    structures, so REPRO_KERNELS toggles need a cold cache)."""
+    """Reset the per-process plan cache so each run compiles cold."""
     tasks_mod._PROCESS_PLAN_CACHE = None
 
 
@@ -168,10 +167,7 @@ class TestDeterminismMatrix:
     def work(self, session):
         return SNMWork(SRAMSpec(), session.technology.vdd, "read")
 
-    def _run(self, technology, work, execution, env=None, monkeypatch=None):
-        if env:
-            for key, value in env.items():
-                monkeypatch.setenv(key, value)
+    def _run(self, technology, work, execution):
         _fresh_process_cache()
         try:
             session = Session(technology=technology, seed=20260801)
@@ -179,11 +175,9 @@ class TestDeterminismMatrix:
                                        execution=execution)
             return np.asarray(values)
         finally:
-            if env and monkeypatch is not None:
-                monkeypatch.undo()
             _fresh_process_cache()
 
-    def test_montecarlo_matrix(self, technology, work, monkeypatch):
+    def test_montecarlo_matrix(self, technology, work):
         sharded = self._run(technology, work, Execution(shard_size=8))
         cases = {
             "uncoalesced": dict(
@@ -193,16 +187,9 @@ class TestDeterminismMatrix:
             "workers2_uncoalesced": dict(
                 execution=Execution(shard_size=8, workers=2,
                                     coalesce=False)),
-            "no_kernels": dict(
-                execution=Execution(shard_size=8),
-                env={"REPRO_KERNELS": "0"}),
-            "no_kernels_workers2": dict(
-                execution=Execution(shard_size=8, workers=2),
-                env={"REPRO_KERNELS": "0"}),
         }
         for label, kwargs in cases.items():
-            got = self._run(technology, work, monkeypatch=monkeypatch,
-                            **kwargs)
+            got = self._run(technology, work, **kwargs)
             np.testing.assert_array_equal(got, sharded, err_msg=label)
 
     def test_sweep_composition_worker_invariant(self, technology, work):

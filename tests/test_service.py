@@ -17,6 +17,7 @@ after a cancel.
 """
 
 import dataclasses
+import json
 import threading
 import time
 
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    Characterize,
     DCOp,
     Execution,
     ImportanceSampling,
@@ -34,6 +36,7 @@ from repro.api import (
     fingerprint,
 )
 from repro.api.serialize import dumps, encode
+from repro.obs import default_registry
 from repro.service import (
     AnalysisServer,
     JobRegistry,
@@ -280,8 +283,11 @@ class TestJobRegistry:
         assert store.stats()["checkpoints"] >= 1
         assert not store.has(fp)
 
+        # Recovery admits only allowlisted types, like a daemon whose
+        # allowlist covers this module's metric.
         second = JobRegistry(store, Session(technology=technology, seed=SEED,
-                                            executor=1))
+                                            executor=1),
+                             allow_modules=("repro", SleepyVt0.__module__))
         try:
             resumed = second.recover()
             assert resumed == [fp]
@@ -321,6 +327,73 @@ class TestJobRegistry:
             assert registry.jobs() == []
         finally:
             registry.shutdown(timeout=60.0)
+
+    @staticmethod
+    def _journal_probe(store, name, text):
+        """Plant a raw journal file (what a crash or an intruder leaves)."""
+        fp = name * 64
+        with open(store.journal_path(fp), "w") as handle:
+            handle.write(text)
+        return fp
+
+    @staticmethod
+    def _dropped_total():
+        return default_registry().counter(
+            "repro_service_journal_dropped_total").value
+
+    def _recover_with_probe(self, technology, store, probe_fp):
+        """Recover a store holding *probe_fp* plus one sound job.
+
+        The probe must be dropped (counted, journal cleared) and the
+        sound job must still be replayed to completion.
+        """
+        spec = MonteCarlo(n_samples=64)
+        good_fp = fingerprint(spec, seed=SEED)
+        store.journal(good_fp, {"fingerprint": good_fp, "seed": SEED,
+                                "spec": encode(spec)})
+        before = self._dropped_total()
+        registry = JobRegistry(store, Session(technology=technology,
+                                              seed=SEED, executor=1))
+        try:
+            resumed = registry.recover()
+            registry.wait_all(timeout=60.0)
+        finally:
+            registry.shutdown(timeout=60.0)
+        assert resumed == [good_fp]
+        assert store.has(good_fp)
+        assert self._dropped_total() == before + 1
+        assert store.pending() == {}
+        assert not store.has(probe_fp)
+
+    def test_recover_drops_truncated_journal(self, technology, store):
+        # Regression: a half-written journal file raised JSONDecodeError
+        # out of recover() and stopped the daemon on every restart.
+        fp = self._journal_probe(store, "c", '{"fingerprint": "cc", "spe')
+        assert store.pending() == {fp: None}
+        self._recover_with_probe(technology, store, fp)
+
+    def test_recover_drops_spec_with_removed_field(self, technology, store):
+        # Regression: a spec journaled by an older version, carrying a
+        # field its class no longer has, raised TypeError at decode —
+        # every Characterize journaled while specs had a ``backend``.
+        document = encode(Characterize(cell="inv"))
+        document["fields"]["backend"] = None
+        fp = self._journal_probe(store, "d", json.dumps(
+            {"fingerprint": "d" * 64, "seed": SEED, "spec": document}))
+        self._recover_with_probe(technology, store, fp)
+
+    def test_recover_never_calls_disallowed_callables(self, technology,
+                                                      store, capsys):
+        # Regression: journal specs were decoded without the daemon's
+        # allowlist, so any importable callable ran with keyword
+        # arguments during replay.
+        fp = self._journal_probe(store, "e", json.dumps({
+            "fingerprint": "e" * 64, "seed": SEED,
+            "spec": {"__dataclass__": "builtins:print",
+                     "fields": {"end": "JOURNAL-PROBE-RAN"}},
+        }))
+        self._recover_with_probe(technology, store, fp)
+        assert "JOURNAL-PROBE-RAN" not in capsys.readouterr().out
 
     def test_store_failure_fails_job_instead_of_hanging(self, registry,
                                                         technology,
