@@ -4,7 +4,7 @@ Decomposes the fast path into its two layers and times each against
 its fallback on the same 400-sample READ-SNM Monte-Carlo:
 
 * **coalescing** — sharded serial with cross-shard batching vs the same
-  shard plan solved shard by shard;
+  shard plan solved shard by shard (the task called once per shard);
 * **analytic derivatives** — a device-level microbenchmark of
   ``ids_and_derivatives`` in analytic vs stacked finite-difference mode
   on the fig9-shaped ``(400, 6)`` stacked-device batch.
@@ -27,6 +27,8 @@ from repro.cells.sram import SRAMSpec
 from repro.data.cards import vs_nmos_40nm
 from repro.devices.vs.model import VSDevice
 from repro.experiments.fig9_sram_snm import SNMWork
+from repro.runtime.sharding import plan_shards
+from repro.runtime.tasks import FactoryMapTask
 
 N_SAMPLES = 400
 SHARD_SIZE = 50
@@ -43,6 +45,25 @@ def _timed_map(session, work, execution):
         values, _ = session.map_mc(work, N_SAMPLES, model="vs",
                                    seed_offset=70, execution=execution)
         return np.asarray(values), time.perf_counter() - start
+    finally:
+        tasks_mod._PROCESS_PLAN_CACHE = None
+
+
+def _timed_per_shard(session, work):
+    """:func:`_timed_map` without coalescing: the task shard by shard."""
+    task = FactoryMapTask(technology=session.technology, work=work)
+
+    def run(n_samples, seed_offset):
+        plan = plan_shards(n_samples, SHARD_SIZE,
+                           session.seeds.seed(seed_offset))
+        return np.concatenate([task(shard) for shard in plan])
+
+    tasks_mod._PROCESS_PLAN_CACHE = None
+    try:
+        run(SHARD_SIZE, 71)
+        start = time.perf_counter()
+        values = run(N_SAMPLES, 70)
+        return values, time.perf_counter() - start
     finally:
         tasks_mod._PROCESS_PLAN_CACHE = None
 
@@ -71,10 +92,7 @@ def test_fig9_fast_path_layers(results_dir, record_report):
     sharded = Execution(shard_size=SHARD_SIZE, workers=1)
 
     fast, t_fast = _timed_map(session, work, sharded)
-    uncoalesced, t_uncoalesced = _timed_map(
-        session, work,
-        Execution(shard_size=SHARD_SIZE, workers=1, coalesce=False),
-    )
+    uncoalesced, t_uncoalesced = _timed_per_shard(session, work)
 
     # The layers are exact: every fallback produces the same bits.
     np.testing.assert_array_equal(fast, uncoalesced)

@@ -1,6 +1,6 @@
 """Parallel-runtime scaling on the Fig. 9 SRAM SNM Monte-Carlo.
 
-Times the same SNM workload four ways — legacy unsharded, sharded
+Times the same SNM workload four ways — one single shard, sharded
 serial, and sharded parallel at 2 and 4 workers — and records
 samples/sec for each in machine-readable ``BENCH_runtime.json``
 alongside the usual txt report.  Also re-asserts the shard contract on
@@ -12,11 +12,12 @@ machine actually exposes >= 4 CPUs (``os.sched_getaffinity``): process
 pools cannot beat serial on a single core, and the JSON records
 ``cpu_count`` so CI readers can interpret the numbers.
 
-PR 9 adds two comparisons: a hard regression gate — the sharded serial
-run (which now coalesces same-plan shards into one batched Newton
-solve) must stay within 1.2x of the legacy unsharded time — and the
-recorded speedup against the PR-8 sharded-serial baseline captured in
-the previous ``BENCH_runtime.json``.
+Two more comparisons: a hard regression gate — the sharded serial run
+(which coalesces same-plan shards into one batched Newton solve) must
+stay within 1.2x of the single-shard run (``shard_size=n``: one
+factory, one batched solve) — and the recorded speedup against the
+PR-8 sharded-serial baseline captured in an earlier
+``BENCH_runtime.json``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ SHARD_SIZE = 50
 #: PR-8 tip on the reference container (single CPU) — the pre-fast-path
 #: baseline the PR-9 speedup is quoted against.
 PR8_SHARDED_SERIAL_SAMPLES_PER_SEC = 160.48
-PR8_LEGACY_SAMPLES_PER_SEC = 348.58
 
 
 def _cpu_count() -> int:
@@ -60,7 +60,7 @@ def test_runtime_scaling_sram_snm(results_dir, record_report):
     session = Session()
     work = SNMWork(SRAMSpec(), session.technology.vdd, "read")
     modes = {
-        "legacy_unsharded": None,
+        "single_shard": Execution(shard_size=N_SAMPLES, workers=1),
         "sharded_serial": Execution(shard_size=SHARD_SIZE, workers=1),
         "sharded_2_workers": Execution(shard_size=SHARD_SIZE, workers=2),
         "sharded_4_workers": Execution(shard_size=SHARD_SIZE, workers=4),
@@ -71,10 +71,9 @@ def test_runtime_scaling_sram_snm(results_dir, record_report):
         # caches are hot before timing (matters under spawn/forkserver
         # start methods, where cold workers pay imports + compilation).
         for execution in modes.values():
-            if execution is not None and execution.workers > 1:
+            if execution.workers > 1:
                 session.executor_for(execution).warm()
-            workers = execution.workers if execution is not None else 1
-            session.map_mc(work, SHARD_SIZE * workers, model="vs",
+            session.map_mc(work, SHARD_SIZE * execution.workers, model="vs",
                            seed_offset=71, execution=execution)
 
         outputs, timings = {}, {}
@@ -105,13 +104,12 @@ def test_runtime_scaling_sram_snm(results_dir, record_report):
         "speedup_4_workers_vs_serial": (
             timings["sharded_serial"] / timings["sharded_4_workers"]
         ),
-        "sharded_serial_over_legacy": (
-            timings["sharded_serial"] / timings["legacy_unsharded"]
+        "sharded_serial_over_single_shard": (
+            timings["sharded_serial"] / timings["single_shard"]
         ),
         "baseline_pr8": {
             "sharded_serial_samples_per_sec":
                 PR8_SHARDED_SERIAL_SAMPLES_PER_SEC,
-            "legacy_unsharded_samples_per_sec": PR8_LEGACY_SAMPLES_PER_SEC,
         },
         "speedup_vs_pr8_sharded_serial": (
             (N_SAMPLES / timings["sharded_serial"])
@@ -139,8 +137,8 @@ def test_runtime_scaling_sram_snm(results_dir, record_report):
         ),
         f"4-worker speedup vs sharded serial: "
         f"{record['speedup_4_workers_vs_serial']:.2f}x",
-        f"sharded serial vs legacy: "
-        f"{record['sharded_serial_over_legacy']:.2f}x slower "
+        f"sharded serial vs single shard: "
+        f"{record['sharded_serial_over_single_shard']:.2f}x slower "
         f"(regression gate: <= 1.2x)",
         f"speedup vs PR-8 sharded serial baseline: "
         f"{record['speedup_vs_pr8_sharded_serial']:.2f}x",
@@ -149,11 +147,11 @@ def test_runtime_scaling_sram_snm(results_dir, record_report):
     record_report("runtime_scaling", "\n".join(lines))
 
     # Regression gate (coalesced fast path): the sharded serial run may
-    # cost at most 20% over the legacy unsharded solve.  Both run in
-    # this process on one core, so the gate is fair on any machine.
-    assert record["sharded_serial_over_legacy"] <= 1.2, (
-        "sharded serial regressed past the 1.2x-of-legacy gate: "
-        f"{record['sharded_serial_over_legacy']:.2f}x"
+    # cost at most 20% over the single-shard solve.  Both run in this
+    # process on one core, so the gate is fair on any machine.
+    assert record["sharded_serial_over_single_shard"] <= 1.2, (
+        "sharded serial regressed past the 1.2x-of-single-shard gate: "
+        f"{record['sharded_serial_over_single_shard']:.2f}x"
     )
 
     if cpu_count >= 4:

@@ -1,9 +1,10 @@
 """Trace-driven breakdown of the sharded-runtime overhead (ROADMAP #2).
 
-``BENCH_runtime.json`` records the *symptom*: the sharded serial path
-runs the fig9 SRAM SNM Monte-Carlo ~2x slower than the legacy unsharded
-path on one core.  This benchmark uses the PR 8 tracer to attribute the
-gap to named spans — the same workload runs legacy-unsharded, sharded
+``BENCH_runtime.json`` records the *symptom*: at PR 8 the sharded
+serial path ran the fig9 SRAM SNM Monte-Carlo ~2x slower than one
+single shard on one core.  This benchmark uses the PR 8 tracer to
+attribute the gap to named spans — the same workload runs as one single
+shard (``shard_size=n``: one factory, one batched solve), sharded
 serial, and sharded 2-worker under one :class:`repro.obs.Tracer`, and
 the per-mode span totals (``plan.compile``, ``newton.solve``,
 ``run.merge``, ``executor.pickle``, ``shard.execute``) are written to
@@ -12,12 +13,12 @@ work of open item 2.
 
 The headline finding baked into the JSON: the overhead is dominated by
 **the Newton solver itself running on shard-sized batches**.  The same
-400 samples solve as one batch legacy but as 8 batches of 50 sharded,
+400 samples solve as one batch single-shard but as 8 batches of 50 sharded,
 and the per-iteration fixed costs (full-batch MNA assembly, numpy
 dispatch, the stacked factorization setup) amortize far worse at batch
 50 than at batch 400 — ``newton.solve`` wall time alone accounts for
 ~80% of the gap.  The per-shard plan *recompile storm* is real (one
-``plan.compile`` per shard vs O(1) legacy, because each shard task
+``plan.compile`` per shard vs O(1) single-shard, because each shard task
 builds a fresh circuit and the :class:`PlanCache` is id-keyed) but
 cheap; pickling and accumulator merging are noise.  Open item 2 should
 therefore start at the batch-size economics (bigger default shards, or
@@ -54,17 +55,16 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
     session = Session(tracer=tracer)
     work = SNMWork(SRAMSpec(), session.technology.vdd, "read")
     modes = {
-        "legacy_unsharded": None,
+        "single_shard": Execution(shard_size=N_SAMPLES, workers=1),
         "sharded_serial": Execution(shard_size=SHARD_SIZE, workers=1),
         "sharded_2_workers": Execution(shard_size=SHARD_SIZE, workers=2),
     }
     try:
         # Warm outside the timed window (worker spawn, plan caches).
         for execution in modes.values():
-            if execution is not None and execution.workers > 1:
+            if execution.workers > 1:
                 session.executor_for(execution).warm()
-            workers = execution.workers if execution is not None else 1
-            session.map_mc(work, SHARD_SIZE * workers, model="vs",
+            session.map_mc(work, SHARD_SIZE * execution.workers, model="vs",
                            seed_offset=71, execution=execution)
 
         outputs, seconds, spans = {}, {}, {}
@@ -85,12 +85,12 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
     def count(mode, name):
         return spans[mode].get(name, {}).get("count", 0)
 
-    overhead = seconds["sharded_serial"] - seconds["legacy_unsharded"]
+    overhead = seconds["sharded_serial"] - seconds["single_shard"]
     plan_rebuild = (total("sharded_serial", "plan.compile")
-                    - total("legacy_unsharded", "plan.compile"))
+                    - total("single_shard", "plan.compile"))
     merge = total("sharded_serial", "run.merge")
     solver_delta = (total("sharded_serial", "newton.solve")
-                    - total("legacy_unsharded", "newton.solve"))
+                    - total("single_shard", "newton.solve"))
     attributed = plan_rebuild + merge
     record = {
         "benchmark": "fig9 SRAM READ-SNM Monte-Carlo (VS model), traced",
@@ -98,7 +98,7 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
         "shard_size": SHARD_SIZE,
         "seconds": {mode: seconds[mode] for mode in modes},
         "spans": spans,
-        "overhead_breakdown_serial_vs_legacy": {
+        "overhead_breakdown_serial_vs_single_shard": {
             "total_overhead_s": overhead,
             "plan_recompile_s": plan_rebuild,
             "plan_compiles_per_run": count("sharded_serial", "plan.compile"),
@@ -112,13 +112,13 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
             "running on shard-sized batches: the same samples solve as "
             f"{count('sharded_serial', 'newton.solve')} batches of "
             f"{SHARD_SIZE} instead of "
-            f"{count('legacy_unsharded', 'newton.solve')} full-size "
+            f"{count('single_shard', 'newton.solve')} full-size "
             "batch(es), and per-iteration fixed costs (full-batch MNA "
             "assembly, numpy dispatch) amortize worse at small batch — "
             "the solver delta alone covers most of the overhead.  The "
             "per-shard plan recompile storm is real "
             f"({count('sharded_serial', 'plan.compile')} compiles vs "
-            f"{count('legacy_unsharded', 'plan.compile')} legacy; the "
+            f"{count('single_shard', 'plan.compile')} single-shard; the "
             "id-keyed PlanCache can never hit across fresh per-shard "
             "circuits) but costs ~0.01 s; merge and pickling are noise. "
             "Open item 2 should start at batch-size economics (larger "
@@ -133,7 +133,7 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
 
-    breakdown = record["overhead_breakdown_serial_vs_legacy"]
+    breakdown = record["overhead_breakdown_serial_vs_single_shard"]
     lines = [
         "Traced sharded-runtime overhead -- fig9 SRAM READ SNM "
         f"({N_SAMPLES} MC, shard {SHARD_SIZE})",
@@ -144,7 +144,7 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
             f"newton.solve {total(mode, 'newton.solve'):6.2f} s"
             for mode in modes
         ),
-        f"serial-vs-legacy overhead {breakdown['total_overhead_s']:.2f} s = "
+        f"serial-vs-single-shard overhead {breakdown['total_overhead_s']:.2f} s = "
         f"plan recompile {breakdown['plan_recompile_s']:.2f} s "
         f"+ merge {breakdown['accumulator_merge_s']:.3f} s "
         f"+ solver delta {breakdown['solver_delta_s']:.2f} s "
@@ -154,10 +154,10 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
 
     # The attribution must be meaningful: the traced spans have to cover
     # a majority of the measured overhead, and the recompile storm has
-    # to be real (one compile per shard vs O(1) for the legacy path).
+    # to be real (one compile per shard vs O(1) for the single shard).
     assert count("sharded_serial", "plan.compile") >= (
         N_SAMPLES // SHARD_SIZE)
-    assert count("legacy_unsharded", "plan.compile") <= 2
+    assert count("single_shard", "plan.compile") <= 2
     if overhead > 0.2:
         coverage = (attributed + solver_delta) / overhead
         assert coverage > 0.5, (

@@ -198,16 +198,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers for statistical Monte-Carlo.  Any "
-             "explicit value — including 1 — engages the sharded "
-             "runtime, whose output is bit-identical at every worker "
-             "count; omit the flag entirely for the legacy unsharded "
-             "stream the golden figures pin",
+        help="parallel workers for statistical Monte-Carlo (default: "
+             "serial).  Output is bit-identical at every worker count, "
+             "including with the flag omitted",
     )
     parser.add_argument(
         "--shard-size", type=int, default=None, dest="shard_size",
-        help="samples per shard when the parallel runtime is engaged "
-             "(default: the runtime's fixed shard size)",
+        help="samples per shard of statistical runs (default: the "
+             "runtime's automatic size)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",

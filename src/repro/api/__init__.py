@@ -29,7 +29,6 @@ from repro.api.seeding import EXPERIMENT_SEED, SeedScope, SeedTree, derived_rng
 from repro.api.session import Session, default_session
 from repro.api.specs import (
     AC,
-    SEED_MODES,
     AnalysisSpec,
     Characterize,
     CharacterizeLibrary,
@@ -43,7 +42,6 @@ from repro.api.specs import (
     Sweep,
     Transient,
     Yield,
-    sweep_point_offset,
 )
 from repro.stats.yield_engine import YieldEstimate
 
@@ -63,8 +61,6 @@ __all__ = [
     "Characterize",
     "CharacterizeLibrary",
     "Sweep",
-    "sweep_point_offset",
-    "SEED_MODES",
     "ExperimentSpec",
     "Execution",
     "Result",

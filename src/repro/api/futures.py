@@ -68,7 +68,7 @@ class RunSnapshot:
 
     progress: Progress
     #: Accumulator snapshot at the same boundary (None before the first
-    #: wave and for monolithic unsharded runs).
+    #: wave and for monolithic runs such as circuit solves).
     partial: Optional[Dict[str, Any]]
 
 
@@ -204,7 +204,7 @@ class RunHandle(RunObserver):
         """Snapshot of the streamed accumulator state so far.
 
         ``None`` until the first wave lands (and always for monolithic
-        unsharded runs, which have no streaming state to snapshot).
+        runs such as circuit solves, which have no streaming state).
         Sweeps expose ``"points"`` — the completed per-point results;
         statistical runs expose streamed ``"means"``/``"sigmas"`` and
         the raw accumulator ``"state"``.

@@ -1,18 +1,12 @@
 """Centralized seeding: one `SeedSequence`-based tree for every analysis.
 
-Before the API layer existed, each experiment module hand-rolled
-``np.random.default_rng(EXPERIMENT_SEED + offset)`` with ad-hoc integer
-offsets.  The :class:`SeedTree` keeps exactly those derived streams —
-``default_rng(seed)`` is, per the numpy documentation, the generator
-built from ``PCG64(SeedSequence(seed))``, so ``SeedTree(root).rng(k)``
-is bit-identical to the legacy ``default_rng(root + k)`` — while giving
-the offsets a single owner and an explicit `SeedSequence` basis.  The
-golden figure regressions (`tests/test_golden_figures.py`) pin this
-equivalence.
-
-For genuinely new workloads that do not need legacy-stream
-compatibility, :meth:`SeedTree.spawn` hands out statistically
-independent child sequences the proper `SeedSequence` way.
+A spec's ``seed_offset`` names stream ``root + offset`` of the
+:class:`SeedTree`; statistical runs draw shard *i* of that stream from
+``SeedSequence(root + offset, spawn_key=(i,))`` (the runtime's
+shard/seed contract), and sweep point *j* nests one level deeper
+(:class:`SeedScope`).  :meth:`SeedTree.rng` hands out the plain
+``default_rng(root + offset)`` generator for ad-hoc draws, and
+:meth:`SeedTree.spawn` statistically independent child sequences.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ EXPERIMENT_SEED = 424242
 def derived_rng(root: int, offset: int = 0) -> np.random.Generator:
     """Fresh generator for stream *offset* of the tree rooted at *root*.
 
-    Equal to the legacy ``np.random.default_rng(root + offset)`` stream.
+    Equal to the ``np.random.default_rng(root + offset)`` stream.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(root + offset)))
 
@@ -41,11 +35,11 @@ def derived_rng(root: int, offset: int = 0) -> np.random.Generator:
 class SeedScope:
     """One sweep point's stream scope under the nested sweep/seed contract.
 
-    A spawn-mode :class:`~repro.api.specs.Sweep` runs point *j* of a
-    spec whose base seed is *base_seed* (session root + spec
-    ``seed_offset``) on the streams::
+    A :class:`~repro.api.specs.Sweep` runs point *j* of a spec whose
+    base seed is *base_seed* (session root + spec ``seed_offset``) on
+    the streams::
 
-        serial draw   SeedSequence(base_seed, spawn_key=(j,))
+        single stream SeedSequence(base_seed, spawn_key=(j,))
         shard i       SeedSequence(base_seed, spawn_key=(j, i))
 
     The scope replaces the spec's own integer ``seed_offset`` resolution
@@ -64,7 +58,7 @@ class SeedScope:
         )
 
     def sequence(self) -> np.random.SeedSequence:
-        """The scope's `SeedSequence` (for unsharded single-stream draws)."""
+        """The scope's `SeedSequence` (for single-stream side draws)."""
         return np.random.SeedSequence(self.base_seed, spawn_key=self.spawn_key)
 
     def rng(self) -> np.random.Generator:
@@ -94,7 +88,7 @@ class SeedTree:
         return np.random.SeedSequence(self.seed(offset))
 
     def rng(self, offset: int = 0) -> np.random.Generator:
-        """Fresh generator for stream *offset* (legacy-compatible)."""
+        """Fresh generator for stream *offset* (``default_rng(root + offset)``)."""
         return derived_rng(self.root, offset)
 
     def spawn(self, n: int = 1) -> List[np.random.SeedSequence]:

@@ -4,8 +4,9 @@ A :class:`Session` owns the cross-cutting concerns that every analysis
 and experiment used to re-implement by hand:
 
 * the characterized **technology** (defaults to the shared 40-nm kit);
-* a **seed tree** (`SeedSequence`-based, legacy-stream compatible) that
-  hands out every random stream;
+* a **seed tree** (`SeedSequence`-based) that hands out every random
+  stream — statistical specs draw shard *i* of a run from
+  ``SeedSequence(base_seed, spawn_key=(i,))``;
 * the **plan cache** of compiled assemblies, injected into every
   circuit built through the session's device factories;
 * the **executor** that shards statistical workloads.
@@ -86,21 +87,19 @@ class Session:
         default 40-nm kit when omitted (resolved lazily, so pure-circuit
         sessions never pay for characterization).
     seed:
-        Root of the session's seed tree.  The default keeps every
-        experiment bit-identical to the historical per-module seeding.
+        Root of the session's seed tree.
     executor:
         Session-wide parallelism for statistical workloads: ``None``/1
         for serial, an integer >= 2 for a process pool of that many
         workers, a ``"tcp://host:port"`` address to bind a
         :class:`repro.cluster.ClusterExecutor` coordinator there
         (remote agents connect with ``python -m repro worker``), or a
-        :class:`repro.runtime.Executor` instance.  With workers
-        engaged, statistical specs default to the sharded runtime
-        (output still worker-count invariant — the shard/seed
-        contract); specs may override per run via their ``execution``.
+        :class:`repro.runtime.Executor` instance.  Statistical specs
+        without their own ``execution`` run on this executor; the
+        output is worker-count invariant (the shard/seed contract).
     shard_size:
-        Session default shard size for runtime-routed runs (``None``
-        defers to the runtime's fixed default).
+        Session default shard size for statistical runs (``None``
+        defers to the runtime's automatic size).
     tracer:
         Optional :class:`repro.obs.Tracer` activated around every run
         this session executes.  Scheduling-side only: results are
@@ -112,7 +111,7 @@ class Session:
         ``True`` to snapshot the process-local default
         :class:`repro.obs.MetricsRegistry` into each envelope, or a
         registry instance to snapshot instead.  With either *tracer* or
-        *metrics* enabled, runtime-routed results carry a
+        *metrics* enabled, statistical results carry a
         ``runtime.telemetry`` digest (span totals + metrics snapshot);
         ``scrub_envelope`` strips it with the rest of ``runtime``.
     """
@@ -140,10 +139,6 @@ class Session:
         #: instances are never shut down by :meth:`close`).
         self._borrowed_workers: set = set()
         self._default_workers = 1
-        #: Whether the caller explicitly chose an executor.  Explicit
-        #: ``executor=1`` engages the sharded runtime exactly like
-        #: ``executor=2`` — the worker count must never pick the stream.
-        self._executor_supplied = executor is not None
         if executor is not None:
             from repro.runtime import Executor, resolve_executor
 
@@ -205,23 +200,19 @@ class Session:
         """
         return self._default_workers
 
-    def default_execution(self) -> Optional[Execution]:
+    def default_execution(self) -> Execution:
         """The execution options statistical runs inherit from the session.
 
-        ``None`` on a plain default session — the legacy unsharded path
-        the golden figures pin.  Sessions constructed with an explicit
-        executor (any worker count: ``--workers 1`` must draw the same
-        stream as ``--workers 2``) or a shard size hand every
-        statistical run a matching :class:`Execution` (still
-        overridable per spec).
+        The session's worker count and shard size; a plain ``Session()``
+        gives ``Execution()`` (serial, automatic shard size).  The worker
+        count never changes the stream, so every session draws the same
+        numbers for the same spec and shard size.
         """
-        if self._executor_supplied or self.shard_size is not None:
-            return Execution(
-                workers=self._default_workers, shard_size=self.shard_size
-            )
-        return None
+        return Execution(
+            workers=self._default_workers, shard_size=self.shard_size
+        )
 
-    def executor_for(self, execution: Optional[Execution]):
+    def executor_for(self, execution: Execution):
         """The (cached) executor instance an execution spec runs on.
 
         Pools are created once per worker count and reused across runs;
@@ -229,7 +220,7 @@ class Session:
         """
         from repro.runtime import resolve_executor
 
-        workers = execution.workers if execution is not None else 1
+        workers = execution.workers
         with self._lock:
             if workers == "cluster":
                 instance = self._executors.get("cluster")
@@ -267,24 +258,17 @@ class Session:
         self.close()
         return False
 
-    def _effective_execution(
-        self, spec_execution: Optional[Execution]
-    ) -> Optional[Execution]:
-        return spec_execution if spec_execution is not None else self.default_execution()
-
-    def _spec_execution(
-        self, spec, inherit_execution: bool
-    ) -> Optional[Execution]:
-        """A spec's execution, with or without the session default.
+    def _spec_execution(self, spec, inherit_execution: bool) -> Execution:
+        """A spec's execution, else the session default or ``Execution()``.
 
         Sweep points pin ``inherit_execution=False``: the sweep already
         absorbed the session's parallelism at the point fan-out level,
         and injecting it again into every point would silently re-shard
         the inner streams (breaking the sweep's scheduling invariance).
         """
-        if inherit_execution:
-            return self._effective_execution(spec.execution)
-        return spec.execution
+        if spec.execution is not None:
+            return spec.execution
+        return self.default_execution() if inherit_execution else Execution()
 
     def _seed_basis(
         self, seed_offset: int, scope: Optional[SeedScope]
@@ -299,12 +283,6 @@ class Session:
         if scope is not None:
             return scope.base_seed, scope.spawn_key
         return self.seeds.seed(seed_offset), ()
-
-    def _serial_rng(
-        self, seed_offset: int, scope: Optional[SeedScope]
-    ) -> np.random.Generator:
-        """The unsharded single-stream generator of a statistical run."""
-        return scope.rng() if scope is not None else self.rng(seed_offset)
 
     def _runtime_args(
         self, execution: Execution, n_samples: int, seed_offset: int,
@@ -453,9 +431,9 @@ class Session:
     def _attach_telemetry(self, result, mark: int):
         """Merge the run's telemetry digest into ``result.runtime``.
 
-        Only runtime-routed envelopes (``runtime`` not ``None``) can
-        carry telemetry; legacy unsharded runs expose it through the
-        live :attr:`tracer`/:attr:`metrics` objects instead.  The digest
+        Only statistical envelopes (``runtime`` not ``None``) can carry
+        telemetry; circuit solves expose it through the live
+        :attr:`tracer`/:attr:`metrics` objects instead.  The digest
         lives *inside* ``RuntimeInfo`` — never in ``meta`` — because
         ``scrub_envelope`` nulls ``runtime`` wholesale, which is what
         keeps telemetry-on and telemetry-off envelopes comparable.
@@ -576,104 +554,73 @@ class Session:
 
     def _run_montecarlo(self, spec: MonteCarlo, scope=None, observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.stats.montecarlo import target_samples
+        from repro.runtime import run_target_samples
 
         char = self.technology[spec.polarity]
         execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
+        args = self._runtime_args(
+            execution, spec.n_samples, spec.seed_offset, "sigma",
+            scope=scope, observer=observer,
+        )
         start = time.perf_counter()
-        if execution is None:
-            payload = target_samples(
-                char,
-                spec.model,
-                spec.w_nm,
-                spec.l_nm,
-                self.technology.vdd,
-                spec.n_samples,
-                self._serial_rng(spec.seed_offset, scope),
-            )
-            info = None
-            meta = {}
-        else:
-            from repro.runtime import run_target_samples
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "sigma",
-                scope=scope, observer=observer,
-            )
-            payload, accumulator, info = run_target_samples(
-                char,
-                spec.model,
-                spec.w_nm,
-                spec.l_nm,
-                self.technology.vdd,
-                args.pop("plan"),
-                args.pop("executor"),
-                **args,
-            )
-            meta = {"streamed_sigmas": {
-                t: s.std() for t, s in accumulator.stats.items()
-            }}
+        payload, accumulator, info = run_target_samples(
+            char,
+            spec.model,
+            spec.w_nm,
+            spec.l_nm,
+            self.technology.vdd,
+            args.pop("plan"),
+            args.pop("executor"),
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend="device",
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
-            meta={**meta, **self._scope_meta(scope)},
+            meta={
+                "streamed_sigmas": {
+                    t: s.std() for t, s in accumulator.stats.items()
+                },
+                **self._scope_meta(scope),
+            },
         )
 
     def _run_importance(self, spec: ImportanceSampling, scope=None,
                         observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.stats.importance import estimate_failure_probability
+        from repro.runtime import run_importance
 
         model = self.technology[spec.polarity].statistical
         execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
+        args = self._runtime_args(
+            execution, spec.n_samples, spec.seed_offset, "probability",
+            scope=scope, observer=observer,
+        )
         start = time.perf_counter()
-        if execution is None:
-            payload = estimate_failure_probability(
-                model,
-                spec.metric,
-                spec.threshold,
-                spec.shifts_dict(),
-                spec.n_samples,
-                self._serial_rng(spec.seed_offset, scope),
-                w_nm=spec.w_nm,
-                l_nm=spec.l_nm,
-                fail_below=spec.fail_below,
-            )
-            info = None
-        else:
-            from repro.runtime import run_importance
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "probability",
-                scope=scope, observer=observer,
-            )
-            payload, _, info = run_importance(
-                model,
-                spec.metric,
-                spec.threshold,
-                spec.shifts_dict(),
-                args.pop("plan"),
-                args.pop("executor"),
-                w_nm=spec.w_nm,
-                l_nm=spec.l_nm,
-                fail_below=spec.fail_below,
-                **args,
-            )
+        payload, _, info = run_importance(
+            model,
+            spec.metric,
+            spec.threshold,
+            spec.shifts_dict(),
+            args.pop("plan"),
+            args.pop("executor"),
+            w_nm=spec.w_nm,
+            l_nm=spec.l_nm,
+            fail_below=spec.fail_below,
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend="device",
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
             meta=self._scope_meta(scope),
@@ -683,9 +630,7 @@ class Session:
                    inherit_execution: bool = True) -> Result:
         """Adaptive CE importance sampling (the rare-event yield engine).
 
-        There is no legacy unsharded path: the engine always draws in
-        the spec's fixed blocks, so ``execution=None`` simply runs the
-        block plan serially without stopping or checkpointing — the
+        The engine always draws in the spec's fixed blocks, so the
         envelope is a pure function of the seed basis and the spec,
         never of workers or ``execution.shard_size``.
         """
@@ -715,8 +660,8 @@ class Session:
             l_nm=spec.l_nm,
             fail_below=spec.fail_below,
             stop=stop_rule_for_execution(execution, "probability"),
-            wave_size=execution.wave_size if execution is not None else None,
-            checkpoint_path=execution.checkpoint if execution is not None else None,
+            wave_size=execution.wave_size,
+            checkpoint_path=execution.checkpoint,
             observer=observer,
         )
         elapsed = time.perf_counter() - start
@@ -735,70 +680,46 @@ class Session:
                          inherit_execution: bool = True) -> Result:
         """Circuit-level ``work(factory)`` Monte-Carlo as a spec run.
 
-        The payload is the raw ``(n, ...)`` metric array; the serial
-        path is the exact legacy single-factory draw the hand-rolled
-        experiment loops used (``Session.map_mc`` delegates here).
+        The payload is the raw ``(n, ...)`` metric array, concatenated
+        over shards in shard order (``Session.map_mc`` delegates here).
         """
+        from repro.runtime import run_factory_map
+
         execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
+        args = self._runtime_args(
+            execution, spec.n_samples, spec.seed_offset, "sigma",
+            scope=scope, observer=observer,
+        )
         start = time.perf_counter()
-        meta = {}
-        if execution is None:
-            from repro.cells.factory import MonteCarloDeviceFactory
-
-            factory = self._equip(MonteCarloDeviceFactory(
-                self.technology, spec.n_samples,
-                rng=self._serial_rng(spec.seed_offset, scope),
-                model=spec.model,
-            ))
-            payload = np.asarray(spec.work(factory))
-            if payload.ndim < 1 or payload.shape[0] != spec.n_samples:
-                raise TypeError(
-                    "factory-map work must return an array with the "
-                    f"Monte-Carlo axis first; got shape {payload.shape} "
-                    f"for a {spec.n_samples}-sample run"
-                )
-            info = None
-        else:
-            from repro.runtime import run_factory_map
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "sigma",
-                scope=scope, observer=observer,
-            )
-            payload, accumulator, info = run_factory_map(
-                self.technology,
-                spec.work,
-                args.pop("plan"),
-                args.pop("executor"),
-                model=spec.model,
-                coalesce=getattr(execution, "coalesce", True),
-                **args,
-            )
-            meta = {"finite_rows": accumulator.rows}
+        payload, accumulator, info = run_factory_map(
+            self.technology,
+            spec.work,
+            args.pop("plan"),
+            args.pop("executor"),
+            model=spec.model,
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend="auto",
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
-            meta={**meta, **self._scope_meta(scope)},
+            meta={"finite_rows": accumulator.rows, **self._scope_meta(scope)},
         )
 
     def _run_characterize(self, spec, scope=None, observer=None,
                           inherit_execution: bool = True) -> Result:
         """Library characterization: the (cell x slew x load) grid workload.
 
-        Serial (``execution=None``) walks the grid in index order; with
-        execution options grid points fan out as shard tasks.  Both
-        paths draw point *k*'s Monte-Carlo stream from
-        ``SeedSequence(base_seed, spawn_key=(k,))`` — the grid-point
-        seed contract — so the tables are identical at every worker
-        count and bit-identical to the serial run.  Under sweep point
-        *j* the grid nests one level deeper: ``spawn_key=(j, k)``.
+        Grid points fan out as shard tasks.  Point *k* draws its
+        Monte-Carlo stream from ``SeedSequence(base_seed,
+        spawn_key=(k,))`` — the grid-point seed contract — so the tables
+        are identical at every worker count and shard size.  Under sweep
+        point *j* the grid nests one level deeper: ``spawn_key=(j, k)``.
         """
         from repro.charlib.arcs import get_adapter
         from repro.charlib.characterize import DEFAULT_LOADS, DEFAULT_SLEWS
@@ -826,11 +747,10 @@ class Session:
             spawn_prefix=spawn_prefix,
         )
         execution = self._spec_execution(spec, inherit_execution)
-        executor = self.executor_for(execution) if execution is not None else None
 
         start = time.perf_counter()
         points, info = run_characterization(
-            task, execution=execution, executor=executor, observer=observer
+            task, execution, self.executor_for(execution), observer=observer
         )
         library, diagnostics = assemble_library(task, points, name=library_name)
         elapsed = time.perf_counter() - start
@@ -861,24 +781,23 @@ class Session:
         model: str = "vs",
         seed_offset: int = 0,
         execution: Optional[Execution] = None,
-    ) -> Tuple[np.ndarray, Optional[object]]:
+    ) -> Tuple[np.ndarray, object]:
         """Run ``work(factory) -> (n, ...) array`` over Monte-Carlo samples.
 
         The workhorse of the circuit-level experiments (SRAM SNM, gate
         delays): *work* receives a Monte-Carlo device factory and returns
         one metric array with the sample axis first.
 
-        With *execution* (or a session default) engaged, the run is
-        sharded per the shard/seed contract — *work* must then be
-        picklable (a module-level function or frozen dataclass), and each
-        shard gets its own factory seeded from the shard stream.  With
-        ``execution=None`` on a serial session, this is exactly the
-        legacy single-factory draw (bit-identical to pre-runtime code).
+        The run is sharded per the shard/seed contract (*execution*,
+        else the session default): each shard gets its own factory
+        seeded from the shard stream.  *work* should be picklable (a
+        module-level function or frozen dataclass) for process pools;
+        unpicklable work degrades to an identical serial run.
 
         The declarative twin is ``session.run(FactoryMap(...))`` — this
         method delegates to the same engine and unwraps the envelope.
 
-        Returns ``(values, RuntimeInfo-or-None)``.
+        Returns ``(values, RuntimeInfo)``.
         """
         result = self._execute(FactoryMap(
             work=work, n_samples=n_samples, model=model,
@@ -911,14 +830,11 @@ class Session:
         kwargs.update(overrides)
         # Runtime-aware experiments (those accepting an ``execution``
         # keyword) inherit the session's parallelism unless the caller
-        # pinned their own; a plain serial session injects None, which
-        # is the legacy unsharded path.
+        # pinned their own.
         if "execution" not in kwargs and (
             "execution" in inspect.signature(defn.func).parameters
         ):
-            default = self.default_execution()
-            if default is not None:
-                kwargs["execution"] = default
+            kwargs["execution"] = self.default_execution()
 
         from repro.obs.trace import activate, span as trace_span
 
@@ -949,7 +865,7 @@ _DEFAULT_SESSION: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The shared default session (default technology, legacy seed root).
+    """The shared default session (default technology and seed root).
 
     Experiment ``run`` functions fall back to this when called without a
     session — the path the golden-figure regressions exercise.

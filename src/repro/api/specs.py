@@ -35,8 +35,8 @@ __all__ = [
     "Sweep",
     "ExperimentSpec",
     "Execution",
-    "SEED_MODES",
 ]
+
 
 def _freeze_pairs(mapping) -> Optional[Tuple[Tuple[str, Any], ...]]:
     """Normalize an optional mapping to a hashable, ordered pair tuple."""
@@ -56,8 +56,9 @@ class Execution:
     :mod:`repro.runtime` subsystem.  The output then depends only on the
     session seed, the spec's ``seed_offset`` and the shard partition —
     **never** on ``workers`` (ROADMAP "Conventions (PR 3)": the
-    shard/seed contract).  ``execution=None`` keeps the historical
-    single-stream draw the golden figures are pinned to.
+    shard/seed contract).  A spec without one runs on the session
+    default, and a session without an executor defaults to
+    ``Execution()``: serial, automatic shard size, the same stream.
 
     Parameters
     ----------
@@ -75,14 +76,6 @@ class Execution:
         on the session's cluster executor (a session constructed with
         ``executor="tcp://host:port"``; see :mod:`repro.cluster`).
         Scheduling only — results are identical at every value.
-    coalesce:
-        Batch same-plan shards of a dispatch chunk into ONE Newton
-        solve over the concatenated sample block (circuit-level
-        factory-map runs only; other tasks ignore it).  Scheduling
-        only: per-shard streams are drawn independently and the solve
-        is elementwise along the sample axis, so results are
-        bit-identical either way — disable when a work callable is not
-        elementwise across samples.
     target_rel_err:
         Adaptive stopping: stop between shard waves once the relative
         error (of the sigma estimate for Monte-Carlo — ``1/sqrt(2(n-1))``,
@@ -109,7 +102,6 @@ class Execution:
 
     shard_size: Optional[int] = None
     workers: Union[int, str] = 1
-    coalesce: bool = True
     target_rel_err: Optional[float] = None
     min_samples: int = 0
     max_samples: Optional[int] = None
@@ -272,8 +264,7 @@ class MonteCarlo(AnalysisSpec):
     l_nm: float = 40.0
     #: Stream offset in the session's seed tree.
     seed_offset: int = 0
-    #: Sharding/parallelism/stopping options; ``None`` = session default
-    #: (the legacy unsharded single-stream draw on a serial session).
+    #: Sharding/parallelism/stopping options; ``None`` = session default.
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -367,8 +358,7 @@ class Yield(AnalysisSpec):
     l_nm: Optional[float] = None
     fail_below: bool = True
     seed_offset: int = 0
-    #: Workers/stopping/checkpointing; ``None`` = session default (the
-    #: engine always runs block-sharded — there is no legacy path).
+    #: Workers/stopping/checkpointing; ``None`` = session default.
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -542,13 +532,6 @@ class CharacterizeLibrary(_CharacterizeBase):
             raise ValueError("library name must be non-empty")
 
 
-#: Sweep point-seed contracts.  ``spawn`` is the nested SeedSequence
-#: contract (point *j* -> ``spawn_key=(j,)``, inner shard *i* ->
-#: ``(j, i)``); ``legacy`` reproduces the historical per-point offset
-#: arithmetic (point *j* runs at ``seed_offset + j``) the golden
-#: figures are pinned to.
-SEED_MODES = ("spawn", "legacy")
-
 #: Spec types a :class:`Sweep` may wrap: everything that runs against
 #: the session technology without a caller-supplied circuit.
 _SWEEPABLE = (
@@ -559,19 +542,6 @@ _SWEEPABLE = (
     Characterize,
     CharacterizeLibrary,
 )
-
-
-def sweep_point_offset(base_offset: int, index: int) -> int:
-    """The legacy sweep seed arithmetic: point *index* under *base_offset*.
-
-    One owner for the ``base + k`` per-point stream numbering that the
-    experiment modules used to hand-roll (``seed_offset = 40 + k``...).
-    ``Sweep(seed_mode="legacy")`` applies it internally; experiments
-    that still need a sibling per-point stream *outside* a sweep (e.g.
-    the SSTA graph stage) must derive it through this function rather
-    than re-inventing the arithmetic.
-    """
-    return int(base_offset) + int(index)
 
 
 def _replace_field_path(spec, path: str, value):
@@ -657,23 +627,18 @@ class Sweep(AnalysisSpec):
     dataclasses, tuple keys zip several fields along one axis).  Points
     are enumerated row-major — the first axis varies slowest.
 
-    Seeding follows the **nested sweep/seed contract**: in ``spawn``
-    mode point *j* draws from ``SeedSequence(base_seed, spawn_key=(j,))``
-    (base seed = session root + the wrapped spec's ``seed_offset``) and
-    its inner shards from ``spawn_key=(j, i)``; in ``legacy`` mode point
-    *j* simply runs at ``seed_offset + j``, reproducing the historical
-    hand-rolled experiment loops bit-for-bit.  Either way the sweep
-    output is a pure function of the session seed and the spec — never
-    of worker count, sweep shard size, or completion order.
+    Seeding follows the **nested sweep/seed contract**: shard *i* of
+    point *j* draws from ``SeedSequence(base_seed, spawn_key=(j, i))``
+    (base seed = session root + the wrapped spec's ``seed_offset``).
+    The sweep output is a pure function of the session seed and the
+    spec — never of worker count, sweep shard size, or completion
+    order.
 
     A single-point sweep is the identity: it runs the wrapped spec on
     the spec's own execution options — bit-identical to
-    ``session.run(spec)`` on a session without a default executor — and
-    wraps the one result.  (Sweep points never inherit session-default
-    parallelism, so on ``Session(executor=N)`` the unwrapped run is
-    sharded while the sweep point is not; the sweep's numbers are the
-    invariant ones.)  Sweeping a sweep flattens: the outer axes become
-    the slower-varying leading axes of one combined grid.
+    ``session.run(spec)`` on any session without a default shard size —
+    and wraps the one result.  Sweeping a sweep flattens: the outer
+    axes become the slower-varying leading axes of one combined grid.
 
     ``execution`` controls the *sweep-level* fan-out only (points become
     shard tasks on the parallel runtime; ``shard_size`` = points per
@@ -686,7 +651,6 @@ class Sweep(AnalysisSpec):
 
     spec: AnalysisSpec
     over: Any
-    seed_mode: str = "spawn"
     #: Sweep-level fan-out options; ``None`` = session default.
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
@@ -694,14 +658,9 @@ class Sweep(AnalysisSpec):
         axes = _freeze_sweep_axes(self.over)
         spec = self.spec
         if isinstance(spec, Sweep):
-            # Flatten: outer axes vary slowest.  The inner sweep's modes
-            # must agree (one grid, one seed contract) and its execution
-            # is sweep-level scheduling, which the outer sweep owns.
-            if spec.seed_mode != self.seed_mode:
-                raise ValueError(
-                    "cannot flatten nested sweeps with different seed modes "
-                    f"({self.seed_mode!r} vs {spec.seed_mode!r})"
-                )
+            # Flatten: outer axes vary slowest.  The inner sweep's
+            # execution is sweep-level scheduling, which the outer sweep
+            # owns.
             if spec.execution is not None:
                 raise ValueError(
                     "the inner sweep of a nested sweep must not carry "
@@ -726,10 +685,6 @@ class Sweep(AnalysisSpec):
                 f"cannot sweep a {type(spec).__name__} spec (sweepable: "
                 f"{names} — circuit-bound analyses have no picklable "
                 "per-point recipe)"
-            )
-        if self.seed_mode not in SEED_MODES:
-            raise ValueError(
-                f"seed_mode must be one of {SEED_MODES}, got {self.seed_mode!r}"
             )
         _check_execution(self.execution)
         if self.execution is not None and self.execution.target_rel_err is not None:
@@ -785,18 +740,12 @@ class Sweep(AnalysisSpec):
     def point_spec(self, index: int) -> AnalysisSpec:
         """The fully resolved spec of flat point *index*.
 
-        Axis fields are substituted; in ``legacy`` mode the point's
-        ``seed_offset`` is advanced by the sweep seed arithmetic, so the
-        returned spec is self-describing and independently re-runnable.
+        Axis fields are substituted; the point's streams come from the
+        sweep's seed scope (:func:`repro.api.sweep.resolve_point`).
         """
         spec = self.spec
         for path, value in self.point_values(index).items():
             spec = _replace_field_path(spec, path, value)
-        if self.seed_mode == "legacy":
-            spec = dataclasses.replace(
-                spec,
-                seed_offset=sweep_point_offset(self.spec.seed_offset, index),
-            )
         return spec
 
 

@@ -4,11 +4,9 @@ A :class:`~repro.api.specs.Sweep` wraps one statistical spec into a
 cartesian grid; this module is the orchestration behind
 ``Session.run(Sweep(...))``:
 
-* :func:`resolve_point` applies the sweep's seed contract — ``legacy``
-  points are self-seeding specs (``seed_offset + j``), ``spawn`` points
-  run under a :class:`~repro.api.seeding.SeedScope` whose serial draw is
-  ``SeedSequence(base_seed, spawn_key=(j,))`` and whose inner shards are
-  ``spawn_key=(j, i)``.
+* :func:`resolve_point` applies the sweep's seed contract: point *j*
+  runs under a :class:`~repro.api.seeding.SeedScope` whose inner shards
+  draw from ``SeedSequence(base_seed, spawn_key=(j, i))``.
 
 * :class:`SweepPointTask` is the picklable shard task: a shard covers a
   contiguous flat range of grid points, each evaluated through a
@@ -34,9 +32,8 @@ from typing import Optional, Tuple
 
 from repro.api.result import SweepResult
 from repro.api.seeding import SeedScope
-from repro.api.specs import Sweep, sweep_point_offset
+from repro.api.specs import Sweep
 from repro.runtime.runner import (
-    CANCELLED,
     RunObserver,
     run_sharded,
     stop_rule_for_execution,
@@ -48,7 +45,6 @@ __all__ = [
     "SweepPointTask",
     "resolve_point",
     "run_sweep",
-    "sweep_point_offset",
 ]
 
 
@@ -56,15 +52,13 @@ def resolve_point(sweep: Sweep, index: int, base_seed: int):
     """``(point_spec, SeedScope-or-None)`` of flat point *index*.
 
     *base_seed* is the sweep's stream basis (session root + the wrapped
-    spec's ``seed_offset``).  Legacy points carry their whole seed in
-    the returned spec; spawn points need the scope.  A single-point
-    sweep returns no scope in either mode — the identity law: it runs
-    exactly like the unwrapped spec under the spec's own execution
-    options (session-default parallelism is never injected into
-    points).
+    spec's ``seed_offset``).  A single-point sweep returns no scope —
+    the identity law: it runs exactly like the unwrapped spec under the
+    spec's own execution options (session-default parallelism is never
+    injected into points).
     """
     point = sweep.point_spec(index)
-    if sweep.seed_mode == "spawn" and sweep.n_points > 1:
+    if sweep.n_points > 1:
         return point, SeedScope(base_seed=base_seed, spawn_key=(index,))
     return point, None
 
@@ -139,8 +133,7 @@ class SweepPointTask:
     def measure_index(self, index: int, session=None):
         """Evaluate flat grid point *index* (any process, any order)."""
         session = session if session is not None else self._session()
-        base_seed = sweep_point_offset(self.root_seed,
-                                       self.sweep.spec.seed_offset)
+        base_seed = session.seeds.seed(self.sweep.spec.seed_offset)
         spec, scope = resolve_point(self.sweep, index, base_seed)
         return session._execute(
             _pin_point_workers(spec), scope=scope, inherit_execution=False
@@ -178,84 +171,55 @@ def run_sweep(
 ) -> SweepResult:
     """Run every grid point of *sweep* through *session*.
 
-    ``execution=None`` (and no session default) walks the flat grid in
-    index order in-process; with execution options points fan out as
-    shards of ``execution.shard_size`` points each (default 1).  Both
-    paths draw each point's streams per the sweep seed contract, so the
-    envelope is bit-identical regardless of scheduling.
+    Points fan out as shard tasks of ``execution.shard_size`` points
+    each (default 1) on the sweep's execution, or on the session's
+    parallelism when the sweep has none.  Every point draws its streams
+    per the sweep seed contract, so the envelope is bit-identical
+    regardless of scheduling.
     """
-    execution = sweep.execution
-    points_per_shard = None
-    if execution is None and inherit_execution:
-        # Inherit only the session's *parallelism*.  The session-default
-        # shard size (CLI --shard-size) is sample granularity for
-        # statistical runs; adopting it as points-per-shard would fold
-        # a small grid into one shard and silently serialize the sweep.
-        execution = session.default_execution()
-        points_per_shard = 1
-    if execution is not None and points_per_shard is None:
-        points_per_shard = execution.shard_size or 1
-    base_seed = sweep_point_offset(session.seed, sweep.spec.seed_offset)
+    execution = session._spec_execution(sweep, inherit_execution)
+    # Points per shard come from the sweep's own options only.  The
+    # session-default shard size (CLI --shard-size) is sample
+    # granularity for statistical runs; adopting it as points-per-shard
+    # would fold a small grid into one shard and serialize the sweep.
+    points_per_shard = sweep.execution.shard_size if sweep.execution else None
+    base_seed = session.seeds.seed(sweep.spec.seed_offset)
     n_points = sweep.n_points
-    meta = {"seed_mode": sweep.seed_mode, "grid_shape": sweep.shape}
+    meta = {"grid_shape": sweep.shape}
 
     start = time.perf_counter()
-    if execution is None:
-        accumulator = SweepAccumulator()
-        results = accumulator.results
-        if observer is not None:
-            observer.on_progress(0, n_points, accumulator, unit="points")
-        cancelled = False
-        for index in range(n_points):
-            if observer is not None and index > 0 and observer.should_cancel():
-                cancelled = True
-                break
-            spec, scope = resolve_point(sweep, index, base_seed)
-            results.append(
-                session._execute(spec, scope=scope, inherit_execution=False)
-            )
-            if observer is not None:
-                observer.on_progress(index + 1, n_points, accumulator,
-                                     unit="points")
-        info = None
-        if cancelled:
-            meta["stop_reason"] = CANCELLED
-    else:
-        # The task embeds the sweep MINUS its execution options: those
-        # are scheduling, not workload, and the checkpoint fingerprint
-        # (a hash of the pickled task) must let a resume run under a
-        # different cap/worker count adopt the same state.
-        task = SweepPointTask(
-            technology=session.technology,
-            sweep=replace(sweep, execution=None),
-            root_seed=session.seed,
-        )
-        plan = plan_shards(n_points, points_per_shard, base_seed)
-        run = run_sharded(
-            task,
-            plan,
-            session.executor_for(execution),
-            accumulator=SweepAccumulator(),
-            accumulate=lambda acc, payload: acc.update(payload),
-            stop=stop_rule_for_execution(execution, "sigma"),
-            wave_size=execution.wave_size,
-            checkpoint_path=execution.checkpoint,
-            observer=(
-                _PointProgress(observer, n_points)
-                if observer is not None else None
-            ),
-        )
-        results = list(run.accumulator.results)
-        info = run.info
-        if info.stop_reason is not None:
-            meta["stop_reason"] = info.stop_reason
+    # The task embeds the sweep MINUS its execution options: those are
+    # scheduling, not workload, and the checkpoint fingerprint (a hash
+    # of the pickled task) must let a resume run under a different
+    # cap/worker count adopt the same state.
+    task = SweepPointTask(
+        technology=session.technology,
+        sweep=replace(sweep, execution=None),
+        root_seed=session.seed,
+    )
+    run = run_sharded(
+        task,
+        plan_shards(n_points, points_per_shard or 1, base_seed),
+        session.executor_for(execution),
+        accumulator=SweepAccumulator(),
+        accumulate=lambda acc, payload: acc.update(payload),
+        stop=stop_rule_for_execution(execution, "sigma"),
+        wave_size=execution.wave_size,
+        checkpoint_path=execution.checkpoint,
+        observer=(
+            _PointProgress(observer, n_points)
+            if observer is not None else None
+        ),
+    )
+    if run.info.stop_reason is not None:
+        meta["stop_reason"] = run.info.stop_reason
     elapsed = time.perf_counter() - start
 
     return SweepResult(
         spec=sweep,
-        points=tuple(results),
+        points=tuple(run.accumulator.results),
         seed=base_seed,
         wall_time_s=elapsed,
-        runtime=info,
+        runtime=run.info,
         meta=meta,
     )

@@ -203,39 +203,21 @@ class LibraryTiming:
         return write_liberty(self.cells, library_name=library_name or self.name)
 
 
-def run_characterization(task: CharGridTask, execution=None, executor=None,
+def run_characterization(task: CharGridTask, execution, executor,
                          observer=None):
-    """Evaluate the whole grid, serially or through the sharded runtime.
+    """Evaluate the whole grid through the sharded runtime on *executor*.
 
-    ``execution=None`` walks the flat grid in index order in-process —
-    and because every point owns its stream, the result is bit-identical
-    to any sharded run.  With execution options, grid points fan out as
-    shards of ``execution.shard_size`` points each (default 1: one
-    transient per shard task).  Adaptive stopping / checkpointing do not
-    apply to a fixed grid and are ignored.  *observer* (a
-    :class:`~repro.runtime.runner.RunObserver`) sees per-point progress
-    on the serial walk and per-wave progress on the sharded one.
+    Grid points fan out as shards of ``execution.shard_size`` points
+    each (default 1: one transient per shard task).  Every point owns
+    its stream, so the result is identical at every worker count and
+    shard size.  Adaptive stopping / checkpointing do not apply to a
+    fixed grid and are ignored.  *observer* (a
+    :class:`~repro.runtime.runner.RunObserver`) sees per-wave progress.
 
-    Returns ``(points, RuntimeInfo-or-None)`` with *points* in flat grid
-    order.
+    Returns ``(points, RuntimeInfo)`` with *points* in flat grid order.
     """
-    if execution is None:
-        points = []
-        if observer is not None:
-            observer.on_progress(0, task.n_points, None)
-        for k in range(task.n_points):
-            points.append(task.measure_index(k))
-            if observer is not None:
-                observer.on_progress(k + 1, task.n_points, None)
-        return points, None
-
-    shard_size = getattr(execution, "shard_size", None) or 1
-    plan = plan_shards(task.n_points, shard_size, task.base_seed,
-                       spawn_prefix=task.spawn_prefix)
-    if executor is None:
-        from repro.runtime.executors import resolve_executor
-
-        executor = resolve_executor(getattr(execution, "workers", 1))
+    plan = plan_shards(task.n_points, execution.shard_size or 1,
+                       task.base_seed, spawn_prefix=task.spawn_prefix)
     run = run_sharded(task, plan, executor, observer=observer)
     points = [point for payload in run.payloads for point in payload]
     return points, run.info

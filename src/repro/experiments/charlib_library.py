@@ -53,8 +53,6 @@ def run(
 ) -> CharlibResult:
     """Characterize *cells* over the grid and render the Liberty library."""
     session = session or default_session()
-    if execution is None:
-        execution = session.default_execution()
     result = session.run(CharacterizeLibrary(
         cells=tuple(cells), vdd=vdd, slews=slews, loads=loads,
         n_mc=n_mc, seed_offset=SEED_OFFSET, execution=execution,

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.api import MonteCarlo, default_session, experiment
 from repro.experiments.common import format_table
-from repro.stats.montecarlo import vs_target_samples
 from repro.stats.pelgrom import PARAMETER_ORDER, pelgrom_sigmas
 from repro.stats.sensitivity import vs_sensitivities
 
@@ -52,21 +51,13 @@ def run(
 ) -> Fig3Result:
     """Compute the Fig. 3 decomposition.
 
-    With *execution* options the per-width Monte-Carlo reroutes through
-    the parallel runtime as :class:`MonteCarlo` specs (one seed-tree
-    stream per width); the default keeps the legacy shared-stream draw
-    the goldens pin.
+    The per-width Monte-Carlo runs as one :class:`MonteCarlo` spec per
+    width (width *k* draws from seed-tree stream *k*) on *execution*, or
+    on the session default when omitted.
     """
     session = session or default_session()
-    # A parallel session's default engages the runtime even on direct
-    # calls, matching what run_experiment injects.
-    if execution is None:
-        execution = session.default_execution()
-    tech = session.technology
-    char = tech[polarity]
+    char = session.technology[polarity]
     stat = char.statistical
-    # One stream shared across widths (stream 0 of the session tree).
-    rng = session.rng(0)
 
     totals_mc: List[float] = []
     totals_lin: List[float] = []
@@ -83,15 +74,12 @@ def run(
             var_total += term**2
         totals_lin.append(np.sqrt(var_total) / idsat_nominal)
 
-        if execution is None:
-            samples = vs_target_samples(stat, w, l_nm, char.vdd, n_samples, rng)
-        else:
-            samples = session.run(
-                MonteCarlo(
-                    n_samples=n_samples, polarity=polarity, model="vs",
-                    w_nm=w, l_nm=l_nm, seed_offset=k, execution=execution,
-                )
-            ).payload
+        samples = session.run(
+            MonteCarlo(
+                n_samples=n_samples, polarity=polarity, model="vs",
+                w_nm=w, l_nm=l_nm, seed_offset=k, execution=execution,
+            )
+        ).payload
         totals_mc.append(samples.sigma("idsat") / samples.mean("idsat"))
 
     return Fig3Result(

@@ -22,7 +22,7 @@ from repro.stats.distributions import (
     summarize,
 )
 
-#: Legacy per-model stream bases (sweep point *k* runs at ``base + k``).
+#: Per-model stream bases (sweep point *k* draws ``spawn_key=(k, i)``).
 SEED_BASE = {"vs": 10, "bsim": 20}
 
 
@@ -62,7 +62,7 @@ class InvDelayWork:
 
 
 def _delay_sweep(model: str, specs, vdd: float, n_samples: int) -> Sweep:
-    """The per-model drive-strength sweep (legacy point streams)."""
+    """The per-model drive-strength sweep."""
     return Sweep(
         FactoryMap(
             work=InvDelayWork(specs[0], vdd),
@@ -71,7 +71,6 @@ def _delay_sweep(model: str, specs, vdd: float, n_samples: int) -> Sweep:
             seed_offset=SEED_BASE[model],
         ),
         over={"work.spec": specs},
-        seed_mode="legacy",
     )
 
 

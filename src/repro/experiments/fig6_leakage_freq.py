@@ -20,7 +20,7 @@ from repro.cells.inverter import InverterSpec, build_inverter_fo, inverter_delay
 from repro.circuit.waveforms import DC
 from repro.experiments.common import format_table, si
 
-#: Legacy stream base; the model axis runs bsim (30) then vs (31).
+#: Stream base of the model-axis sweep (bsim is point 0, vs point 1).
 SEED_BASE = 30
 MODEL_ORDER = ("bsim", "vs")
 
@@ -115,7 +115,6 @@ def run(
             seed_offset=SEED_BASE,
         ),
         over={"model": MODEL_ORDER},
-        seed_mode="legacy",
     ))
     clouds = {
         model: _cloud(model, sweep.points[k].payload)

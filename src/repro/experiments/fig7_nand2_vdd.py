@@ -27,8 +27,7 @@ from repro.stats.distributions import (
 
 DEFAULT_VDDS = (0.9, 0.7, 0.55)
 
-#: Legacy per-model stream bases (sweep point *k* runs at ``base + k``
-#: under the sweep's legacy seed contract — the historical offsets).
+#: Per-model stream bases (sweep point *k* draws ``spawn_key=(k, i)``).
 SEED_BASE = {"vs": 40, "bsim": 50}
 
 
@@ -65,7 +64,7 @@ class Nand2DelayWork:
 
 
 def _delay_sweep(model: str, vdds, n_samples: int) -> Sweep:
-    """The per-model supply sweep (legacy streams: point k at base + k)."""
+    """The per-model supply sweep."""
     return Sweep(
         FactoryMap(
             work=Nand2DelayWork(Nand2Spec(), vdds[0]),
@@ -74,7 +73,6 @@ def _delay_sweep(model: str, vdds, n_samples: int) -> Sweep:
             seed_offset=SEED_BASE[model],
         ),
         over={"work.vdd": vdds},
-        seed_mode="legacy",
     )
 
 

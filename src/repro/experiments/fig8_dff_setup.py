@@ -16,7 +16,7 @@ from repro.cells.dff import DFFSpec, dff_setup_time
 from repro.experiments.common import finite, format_table, si
 from repro.stats.distributions import DistributionSummary, ks_between, summarize
 
-#: Legacy stream base; the model axis runs vs (60) then bsim (61).
+#: Stream base of the model-axis sweep (vs is point 0, bsim point 1).
 SEED_BASE = 60
 MODEL_ORDER = ("vs", "bsim")
 
@@ -63,7 +63,6 @@ def run(n_samples: int = 250, n_iterations: int = 8, *, session=None) -> Fig8Res
             seed_offset=SEED_BASE,
         ),
         over={"model": MODEL_ORDER},
-        seed_mode="legacy",
     ))
     vs = finite(sweep.points[0].payload)
     golden = finite(sweep.points[1].payload)

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.api import default_session, experiment, sweep_point_offset
+from repro.api import default_session, experiment
 from repro.cells.sram import SRAMSpec, butterfly_curves, sram_snm
 from repro.experiments.common import format_table, si
 from repro.stats.distributions import (
@@ -22,6 +22,12 @@ from repro.stats.distributions import (
     qq_tail_nonlinearity,
     summarize,
 )
+
+#: Seed-tree stream of each (mode, model) SNM Monte-Carlo.
+SEED_OFFSETS = {
+    ("read", "vs"): 70, ("hold", "vs"): 71,
+    ("read", "bsim"): 80, ("hold", "bsim"): 81,
+}
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,9 @@ def run(n_samples: int = 2500, spec: SRAMSpec = SRAMSpec(),
         *, session=None, execution=None) -> Fig9Result:
     """Butterflies plus SNM Monte-Carlo for READ and HOLD.
 
-    With *execution* options (or a session constructed with workers) the
-    SNM Monte-Carlo runs sharded through the parallel runtime —
-    ``python -m repro fig9 --workers 4``.  The default serial/unsharded
-    path keeps the golden-pinned sample streams.
+    The SNM Monte-Carlo runs sharded through the parallel runtime on
+    *execution*, or on the session default when omitted —
+    ``python -m repro fig9 --workers 4`` fans the shards out.
     """
     session = session or default_session()
     vdd = session.technology.vdd
@@ -87,18 +92,17 @@ def run(n_samples: int = 2500, spec: SRAMSpec = SRAMSpec(),
     }
 
     cases = []
-    for k, mode in enumerate(("read", "hold")):
-        # Mode k's streams advance the legacy bases (70 VS / 80 golden)
-        # per the sweep seed arithmetic; sample-sharding — not a 2-point
-        # mode sweep — is this workload's parallelism axis, so map_mc
-        # keeps splitting each mode's draw across shards.
+    for mode in ("read", "hold"):
+        # Sample-sharding — not a 2-point mode sweep — is this
+        # workload's parallelism axis, so map_mc splits each mode's
+        # draw across shards.
         vs, _ = session.map_mc(
             SNMWork(spec, vdd, mode), n_samples, model="vs",
-            seed_offset=sweep_point_offset(70, k), execution=execution,
+            seed_offset=SEED_OFFSETS[mode, "vs"], execution=execution,
         )
         golden, _ = session.map_mc(
             SNMWork(spec, vdd, mode), n_samples, model="bsim",
-            seed_offset=sweep_point_offset(80, k), execution=execution,
+            seed_offset=SEED_OFFSETS[mode, "bsim"], execution=execution,
         )
         cases.append(
             SNMCase(

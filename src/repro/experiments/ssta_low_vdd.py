@@ -19,10 +19,10 @@ import numpy as np
 from repro.api import (
     Characterize,
     FactoryMap,
+    SeedScope,
     Sweep,
     default_session,
     experiment,
-    sweep_point_offset,
 )
 from repro.cells.nand import Nand2Spec, nand2_delays
 from repro.experiments.common import format_table, si
@@ -32,12 +32,11 @@ from repro.ssta import EmpiricalDelay, TimingGraph, clark_arrival, monte_carlo_a
 N_CHAINS = 8
 CHAIN_DEPTH = 3
 
-#: Stream bases.  The supply axis advances each base per the sweep seed
-#: contract (``sweep_point_offset``) — no hand-rolled ``base + k``.
-ARC_SEED = 410       #: arc characterization sweep (legacy point streams)
-DRAW_SEED = 420      #: table-arc bootstrap draws, per supply
-GRAPH_SEED = 430     #: sharded graph Monte-Carlo, per supply
-GRAPH_SERIAL_SEED = 400  #: one shared serial graph stream (golden-pinned)
+#: Stream bases.  Supply *k* draws under ``spawn_key=(k, ...)`` of each
+#: base, the sweep seed contract — no hand-rolled ``base + k``.
+ARC_SEED = 410       #: arc characterization sweep
+DRAW_SEED = 420      #: table-arc bootstrap draws
+GRAPH_SEED = 430     #: graph Monte-Carlo
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ def _arc_sample_sweep(vdds, n_samples: int, execution=None) -> Sweep:
             seed_offset=ARC_SEED,
         ),
         over={"work.vdd": vdds},
-        seed_mode="legacy",
         execution=execution,
     )
 
@@ -131,7 +129,6 @@ def _table_arc_sweep(vdds, n_device_mc: int, execution=None) -> Sweep:
             loads=_TABLE_LOADS, n_mc=n_device_mc, seed_offset=ARC_SEED,
         ),
         over={("vdd", "slews"): vdd_slews},
-        seed_mode="legacy",
         execution=execution,
     )
 
@@ -173,11 +170,10 @@ def run(
     The arc stage is one supply :class:`Sweep` through ``session.run``
     — raw ``FactoryMap`` Monte-Carlo (``arc_source="samples"``) or
     statistical ``Characterize`` grids (``"table"``, the full
-    characterize -> NLDM tables -> timing graph loop) — with legacy
-    per-supply point streams, so the serial numbers are golden-stable
-    at every worker count.  With *execution* options the sweep points
-    and the timing-graph sampling fan out through the parallel runtime
-    (``python -m repro ssta --workers 4``).
+    characterize -> NLDM tables -> timing graph loop).  The sweep
+    points and the timing-graph sampling run on *execution* (the
+    session default when omitted), so ``python -m repro ssta --workers
+    4`` fans both out and every worker count gives the same numbers.
     """
     from scipy import stats as sps
 
@@ -186,11 +182,7 @@ def run(
             f"arc_source must be 'samples' or 'table', got {arc_source!r}"
         )
     session = session or default_session()
-    # Resolve the session default once, so the arc and graph stages
-    # always run under the same regime (a parallel session must not
-    # shard one stage and leave the other on the legacy stream).
-    if execution is None:
-        execution = session.default_execution()
+    execution = execution or session.default_execution()
     vdds = tuple(vdds)
     if arc_source == "table":
         arc_sweep = session.run(
@@ -200,7 +192,6 @@ def run(
         arc_sweep = session.run(
             _arc_sample_sweep(vdds, n_device_mc, execution=execution)
         )
-    rng = session.rng(GRAPH_SERIAL_SEED)
     cases = []
     for k, vdd in enumerate(vdds):
         point = arc_sweep.points[k]
@@ -209,26 +200,19 @@ def run(
             graph_mc = _table_graph(arc)
             samples = arc.draw(
                 max(n_device_mc, 64),
-                session.rng(sweep_point_offset(DRAW_SEED, k)),
+                SeedScope(session.seeds.seed(DRAW_SEED), (k,)).rng(),
             )
         else:
             tphl = np.asarray(point.payload)
             samples = tphl[np.isfinite(tphl)]
             graph_mc = _build_graph(samples, gaussian=False)
-        if execution is None:
-            arrivals = monte_carlo_arrival(graph_mc, "src", "snk",
-                                           n_graph_mc, rng)
-        else:
-            # Per-supply stream of the session tree (the shared legacy
-            # stream cannot be split across shards).
-            arrivals = monte_carlo_arrival(
-                graph_mc, "src", "snk", n_graph_mc,
-                execution=execution,
-                base_seed=session.seeds.seed(
-                    sweep_point_offset(GRAPH_SEED, k)
-                ),
-                executor=session.executor_for(execution),
-            )
+        arrivals = monte_carlo_arrival(
+            graph_mc, "src", "snk", n_graph_mc,
+            execution=execution,
+            base_seed=session.seeds.seed(GRAPH_SEED),
+            spawn_prefix=(k,),
+            executor=session.executor_for(execution),
+        )
         # The Clark engine consumes the same graph's moments (the
         # Gaussian twin arcs give identical means/sigmas by construction).
         analytic = clark_arrival(graph_mc, "src", "snk")

@@ -18,8 +18,8 @@ from repro.experiments.common import format_table
 DEVICE_CLASSES = (("Wide", 1500.0, 40.0), ("Medium", 600.0, 40.0),
                   ("Short", 120.0, 40.0))
 
-#: Legacy per-model stream bases (device class *k* runs at ``base + k``;
-#: both polarities intentionally share the class's stream, as always).
+#: Per-model stream bases (device class *k* draws ``spawn_key=(k, i)``;
+#: both polarities intentionally share the class's stream).
 SEED_BASE = {"bsim": 100, "vs": 110}
 
 #: Published Table III values for side-by-side printing:
@@ -72,7 +72,6 @@ def _geometry_sweep(model: str, polarity: str, n_samples: int) -> Sweep:
         MonteCarlo(n_samples=n_samples, polarity=polarity, model=model,
                    seed_offset=SEED_BASE[model]),
         over={("w_nm", "l_nm"): geometries},
-        seed_mode="legacy",
     )
 
 
@@ -87,7 +86,7 @@ def run(n_samples: int = 4000, *, session=None) -> Table3Result:
 
     Four geometry sweeps (model x polarity), each a zipped (W, L) axis
     through ``session.run`` — parallel sessions fan the classes out as
-    shard tasks with the legacy per-class streams intact.
+    shard tasks with the per-class streams intact.
     """
     session = session or default_session()
     sweeps = {

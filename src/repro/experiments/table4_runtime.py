@@ -111,9 +111,8 @@ def run(
     parent process only (dispatch + merge, not worker evaluation).
     """
     session = session or default_session()
-    if execution is None:
-        execution = session.default_execution()
-    if execution is not None and execution.workers != 1:
+    execution = execution or session.default_execution()
+    if execution.workers != 1:
         # workers may be an int or "cluster"; warm() waits for agents
         # on a cluster executor and spawns pool processes otherwise.
         session.executor_for(execution).warm()

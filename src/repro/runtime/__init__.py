@@ -2,7 +2,7 @@
 
 Every large statistical workload — device Monte-Carlo, importance
 sampling, circuit-level cell Monte-Carlo, SSTA graph sampling — routes
-through this subsystem when execution options are engaged:
+through this subsystem:
 
 * :mod:`~repro.runtime.sharding` plans deterministic shards whose
   streams depend only on ``(base_seed, shard_index)``;

@@ -57,13 +57,11 @@ def _chunk_runner(task: Callable) -> Optional[Callable]:
     """The task's coalesced chunk entry point, when it opts in.
 
     A task that exposes ``run_chunk(shards) -> [(index, payload), ...]``
-    *and* carries a truthy ``coalesce`` flag evaluates a whole chunk as
-    one batched call (``FactoryMapTask``: one Newton solve over the
-    concatenated sample block).  Everything else runs shard by shard.
+    evaluates a whole chunk as one batched call (``FactoryMapTask``: one
+    Newton solve over the concatenated sample block).  Everything else
+    runs shard by shard.
     """
-    if getattr(task, "coalesce", False):
-        return getattr(task, "run_chunk", None)
-    return None
+    return getattr(task, "run_chunk", None)
 
 
 def _run_shard_chunk(

@@ -23,9 +23,9 @@ The one thing the stream *does* depend on is the shard size: changing
 ``shard_size`` re-partitions the draw and produces a different (equally
 valid) sample set.  ``Execution(shard_size=None)`` sizes shards
 automatically through :func:`auto_shard_size` — still a pure function
-of the sample count (never of the worker count) — and the legacy
-unsharded entry points (``execution=None`` end to end) keep their
-historical single-stream draws so the golden figures stay pinned.
+of the sample count (never of the worker count).  This is the only
+seed contract statistical specs have: a spec without ``execution``
+runs ``Execution()``, serial on the same stream.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def plan_shards(
 ) -> ShardPlan:
     """Split *n_samples* into contiguous shards of at most *shard_size*.
 
-    ``shard_size=None`` plans a single shard covering the whole run (the
-    smallest step up from the unsharded path: one stream, one worker).
+    ``shard_size=None`` plans a single shard covering the whole run.
     Every shard except possibly the last has exactly *shard_size*
     samples, so the partition — and through it the sample stream — is a
     pure function of ``(n_samples, shard_size, base_seed, spawn_prefix)``.

@@ -215,9 +215,9 @@ class FactoryMapTask:
     Worker processes keep their own compiled-plan caches — plans are
     per-process state, and each long-lived pool worker compiles once.
 
-    With ``coalesce`` (the default) executors batch all same-task shards
-    of a chunk through :meth:`run_chunk` — one Newton solve over the
-    concatenated sample block instead of one per shard.  Each shard's
+    Executors batch all same-task shards of a chunk through
+    :meth:`run_chunk` — one Newton solve over the concatenated sample
+    block instead of one per shard.  Each shard's
     stream is still drawn by its own generator, and the batched solve is
     elementwise along the sample axis, so the per-shard rows are
     bit-identical to the unbatched path at every worker count.
@@ -226,7 +226,6 @@ class FactoryMapTask:
     technology: object              #: Technology
     work: Callable
     model: str = "vs"
-    coalesce: bool = True
 
     def _factory(self, shard: Shard):
         from repro.cells.factory import MonteCarloDeviceFactory
@@ -264,7 +263,7 @@ class FactoryMapTask:
         result rows are split back at the shard boundaries.  Returns
         ``(shard_index, payload)`` pairs like an executor shard loop.
         """
-        if not self.coalesce or len(shards) <= 1:
+        if len(shards) <= 1:
             return [(shard.index, self(shard)) for shard in shards]
         from repro.cells.factory import CoalescedFactory
 
@@ -285,7 +284,6 @@ def run_factory_map(
     plan: ShardPlan,
     executor: Executor,
     model: str = "vs",
-    coalesce: bool = True,
     stop: Optional[StopRule] = None,
     wave_size: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
@@ -296,10 +294,7 @@ def run_factory_map(
     Returns ``(values, StreamStats, RuntimeInfo)`` with *values* the
     shard outputs concatenated along the sample axis in shard order.
     """
-    task = FactoryMapTask(
-        technology=technology, work=work, model=model,
-        coalesce=bool(coalesce),
-    )
+    task = FactoryMapTask(technology=technology, work=work, model=model)
     return run_array_task(
         task, plan, executor, stop=stop, wave_size=wave_size,
         checkpoint_path=checkpoint_path, observer=observer,

@@ -45,6 +45,7 @@ def monte_carlo_arrival(
     *,
     execution=None,
     base_seed: Optional[int] = None,
+    spawn_prefix: Tuple[int, ...] = (),
     executor=None,
     return_info: bool = False,
 ):
@@ -56,12 +57,13 @@ def monte_carlo_arrival(
     With *execution* options (an :class:`repro.api.Execution` or any
     object with its attributes) the run goes through the parallel
     runtime: samples are drawn shard by shard from streams derived from
-    *base_seed* per the shard/seed contract, optionally fanned out over
-    *executor* (built from ``execution.workers`` when omitted) and
-    stopped adaptively.  ``execution=None`` keeps the historical
-    single-stream draw from *rng*.  ``return_info=True`` additionally
-    returns the :class:`repro.runtime.RuntimeInfo` (``None`` for the
-    unsharded path).
+    *base_seed* per the shard/seed contract (nested under
+    *spawn_prefix*, e.g. ``(k,)`` for grid point *k*), optionally fanned
+    out over *executor* (built from ``execution.workers`` when omitted)
+    and stopped adaptively.  ``execution=None`` draws every arc from
+    the single generator *rng* instead (an ad-hoc helper; experiments
+    use the runtime).  ``return_info=True`` additionally returns the
+    :class:`repro.runtime.RuntimeInfo` (``None`` for the *rng* draw).
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -77,7 +79,8 @@ def monte_carlo_arrival(
 
         if base_seed is None:
             raise ValueError("sharded graph Monte-Carlo needs a base_seed")
-        plan = plan_for_execution(execution, n_samples, base_seed)
+        plan = plan_for_execution(execution, n_samples, base_seed,
+                                  spawn_prefix=spawn_prefix)
         own_executor = executor is None
         executor = (
             resolve_executor(getattr(execution, "workers", 1))
@@ -98,7 +101,7 @@ def monte_carlo_arrival(
         return (values, info) if return_info else values
 
     if rng is None:
-        raise ValueError("the unsharded path needs an rng")
+        raise ValueError("monte_carlo_arrival needs an rng or execution")
 
     arrivals: Dict[str, np.ndarray] = {source: np.zeros(n_samples)}
     for node in graph.topological_order():

@@ -83,7 +83,7 @@ class TestSerialPath:
                 result.payload.transition[arc].values,
                 legacy.transition[arc].values,
             )
-        assert result.runtime is None
+        assert result.runtime.n_shards == 2      # one grid point per shard
         assert result.payload.delay_sigma is None
         assert result.meta["grid_points"] == 2
         assert result.meta["diagnostics"] == {}
@@ -102,7 +102,7 @@ class TestGridPointShardContract:
             )
 
         out = {
-            "unsharded": session.run(spec(None)),
+            "default": session.run(spec(None)),
             "w1s1": session.run(spec(Execution(workers=1, shard_size=1))),
             "w1s2": session.run(spec(Execution(workers=1, shard_size=2))),
             "w4": session.run(spec(Execution(workers=4))),
@@ -124,8 +124,10 @@ class TestGridPointShardContract:
         _assert_cells_equal(runs["w1s1"].payload, runs["w1s2"].payload)
 
     def test_sharded_matches_unsharded_serial(self, runs):
-        assert runs["unsharded"].runtime is None
-        _assert_cells_equal(runs["unsharded"].payload, runs["w1s1"].payload)
+        # A spec without execution runs Execution(): serial, one point
+        # per shard — the same streams as every explicit regime.
+        assert runs["default"].runtime.executor == "serial"
+        _assert_cells_equal(runs["default"].payload, runs["w1s1"].payload)
 
 
 class TestLibrary:

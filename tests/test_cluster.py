@@ -105,8 +105,6 @@ def _cluster(n_workers=2, names=None, faults=None, allow=("repro",),
 class _BoomTask:
     """Shard task that always raises — a workload bug, not a fault."""
 
-    coalesce = True
-
     def run_chunk(self, shards):
         raise RuntimeError("boom: workload bug")
 
@@ -116,8 +114,6 @@ class _BoomTask:
 
 class _EchoTask:
     """Shard task echoing shard geometry (cheap protocol exerciser)."""
-
-    coalesce = True
 
     def run_chunk(self, shards):
         return tuple(

@@ -11,9 +11,8 @@ Four contracts are pinned here:
   the compiled assembly runs are *bitwise* the reference ``np.add.at``
   accumulation for arbitrary index multisets.
 * **Determinism matrix** — the circuit-level Monte-Carlo envelope is
-  bit-identical across every fast-path switch: coalescing on/off,
-  analytic/fd derivatives (values only), 1/2 workers, and the legacy
-  unsharded path.
+  bit-identical across coalesced chunks and the task called shard by
+  shard, 1/2 workers, and the session-default execution.
 * **Compile economics** — a sharded fig9-style run performs exactly one
   structure compile per distinct circuit topology, verified through the
   plan-cache metric.
@@ -28,7 +27,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import repro.runtime.tasks as tasks_mod
-from repro.api import Execution, FactoryMap, MonteCarlo, Session, Sweep
+from repro.api import Execution, FactoryMap, Session, Sweep
+from repro.runtime.sharding import plan_shards
+from repro.runtime.tasks import FactoryMapTask
 from repro.cells.sram import SRAMSpec
 from repro.circuit.compiled import (
     _apply_scatter,
@@ -44,11 +45,6 @@ from repro.experiments.fig9_sram_snm import SNMWork
 @pytest.fixture()
 def session(technology) -> Session:
     return Session(technology=technology, seed=20260801)
-
-
-def _vt0_metric(params):
-    """Module-level (picklable) yield metric."""
-    return np.asarray(params.vt0)
 
 
 def _fresh_process_cache():
@@ -177,19 +173,32 @@ class TestDeterminismMatrix:
         finally:
             _fresh_process_cache()
 
+    def _per_shard(self, technology, work):
+        """The uncoalesced reference: the task called shard by shard."""
+        _fresh_process_cache()
+        try:
+            task = FactoryMapTask(technology=technology, work=work)
+            plan = plan_shards(N_MC, 8, Session(seed=20260801).seeds.seed(0))
+            return np.concatenate([task(shard) for shard in plan])
+        finally:
+            _fresh_process_cache()
+
     def test_montecarlo_matrix(self, technology, work):
         sharded = self._run(technology, work, Execution(shard_size=8))
         cases = {
-            "uncoalesced": dict(
-                execution=Execution(shard_size=8, coalesce=False)),
-            "workers2": dict(
-                execution=Execution(shard_size=8, workers=2)),
-            "workers2_uncoalesced": dict(
-                execution=Execution(shard_size=8, workers=2,
-                                    coalesce=False)),
+            "per_shard": self._per_shard(technology, work),
+            "workers2": self._run(
+                technology, work, Execution(shard_size=8, workers=2)),
         }
-        for label, kwargs in cases.items():
-            got = self._run(technology, work, **kwargs)
+        _fresh_process_cache()
+        try:
+            default = Session(technology=technology, seed=20260801,
+                              shard_size=8)
+            cases["session_default"] = default.map_mc(work, N_MC,
+                                                      model="vs")[0]
+        finally:
+            _fresh_process_cache()
+        for label, got in cases.items():
             np.testing.assert_array_equal(got, sharded, err_msg=label)
 
     def test_sweep_composition_worker_invariant(self, technology, work):
@@ -206,25 +215,6 @@ class TestDeterminismMatrix:
         serial, parallel = run(1), run(2)
         for a, b in zip(serial.points, parallel.points):
             np.testing.assert_array_equal(a.payload, b.payload)
-
-    def test_yield_ignores_coalesce_flag(self, session, technology):
-        """Device-level yield runs accept (and ignore) the circuit-only
-        coalesce switch without changing their stream."""
-        from repro.api import Yield
-
-        model = technology["nmos"].statistical
-        threshold = float(np.asarray(model.nominal.vt0)) + 3.0 * (
-            model.sigmas(600.0, 40.0)["vt0"]
-        )
-        spec = dict(
-            metric=_vt0_metric, threshold=threshold, shifts={"vt0": 3.0},
-            n_samples=512, n_rounds=1, n_per_round=256, block_size=128,
-            w_nm=600.0, l_nm=40.0, fail_below=False,
-        )
-        on = session.run(Yield(**spec, execution=Execution(workers=1)))
-        off = session.run(Yield(
-            **spec, execution=Execution(workers=1, coalesce=False)))
-        assert on.payload.probability == off.payload.probability
 
 
 # ----------------------------------------------------------------------

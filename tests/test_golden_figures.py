@@ -124,55 +124,53 @@ FEATURES = {
 GOLDEN = {
     "fig3": {
         "total_linear": [0.08510690036667924, 0.04255345018333983],
-        "total_mc": [0.08300921974043016, 0.04444324096778332],
+        "total_mc": [0.08429628693360466, 0.04261881433189341],
         "vt0_contribution": [0.061354152480288304, 0.030677076240144152],
     },
     "fig4": {
-        "cross_coverage": [
-            0.35333333333333333, 0.8666666666666667, 0.9966666666666667,
-        ],
-        "golden_ion_mean": 0.0005276062463780547,
-        "golden_logioff_mean": -9.036310375116466,
-        "vs_ion_std": 2.2165624143395315e-05,
-        "vs_logioff_std": 0.16703821079986564,
+        "cross_coverage": [0.42, 0.9, 0.9966666666666667],
+        "golden_ion_mean": 0.0005283661999144594,
+        "golden_logioff_mean": -9.040546196609508,
+        "vs_ion_std": 2.270288160630354e-05,
+        "vs_logioff_std": 0.17854856265457886,
     },
     "fig5": {
-        "golden_mean": 5.888979430059293e-12,
-        "golden_std": 2.9359132970197614e-13,
-        "vs_mean": 5.503854606780897e-12,
-        "vs_std": 3.8170431561849564e-13,
+        "golden_mean": 5.748239723501856e-12,
+        "golden_std": 4.285630540016898e-13,
+        "vs_mean": 5.579233900970439e-12,
+        "vs_std": 3.3606948480336577e-13,
     },
     "fig6": {
-        "bsim_freq_mean": 177013856804.79025,
-        "bsim_leak_mean": 5.653303537523245e-10,
-        "vs_freq_mean": 180021716392.54428,
-        "vs_leak_mean": 4.1651383567193185e-10,
+        "bsim_freq_mean": 173325093049.5271,
+        "bsim_leak_mean": 5.119677395286004e-10,
+        "vs_freq_mean": 181518931048.17416,
+        "vs_leak_mean": 3.9996589747184917e-10,
     },
     "fig7": {
-        "golden_mean": 5.04973157750805e-12,
-        "vs_mean": 4.741936164161294e-12,
-        "vs_std": 2.1330993758314182e-13,
+        "golden_mean": 5.102756535520768e-12,
+        "vs_mean": 4.844471881895759e-12,
+        "vs_std": 9.120287223693416e-14,
     },
     "fig8": {
         "setup_golden": [
-            3.1882812499999996e-11, 3.9257812499999996e-11,
-            3.37265625e-11, 1.8976562499999998e-11,
-            4.0179687499999995e-11, 2.91171875e-11,
-            1.71328125e-11, 1.8976562499999998e-11,
+            2.4507812499999995e-11, 3.64921875e-11,
+            2.3585937499999997e-11, 2.0820312499999995e-11,
+            1.9898437499999997e-11, 1.8976562499999998e-11,
+            1.9898437499999997e-11, 1.9898437499999997e-11,
         ],
         "setup_vs": [
-            1.80546875e-11, 1.80546875e-11, 2.54296875e-11,
-            1.9898437499999997e-11, 2.17421875e-11,
-            1.8976562499999998e-11, 1.71328125e-11, 3.00390625e-11,
+            1.71328125e-11, 2.3585937499999997e-11, 2.26640625e-11,
+            1.5289062499999998e-11, 1.8976562499999998e-11,
+            3.74140625e-11, 2.91171875e-11, 2.0820312499999995e-11,
         ],
     },
     "fig9": {
-        "hold_golden_mean": 0.3288293838500977,
-        "hold_vs_mean": 0.31722593307495117,
-        "hold_vs_std": 0.01547947903298617,
-        "read_golden_mean": 0.1355412483215332,
-        "read_vs_mean": 0.1162550926208496,
-        "read_vs_std": 0.018636592721770942,
+        "hold_golden_mean": 0.3210986137390137,
+        "hold_vs_mean": 0.31174392700195314,
+        "hold_vs_std": 0.01285597607920163,
+        "read_golden_mean": 0.12522611618041993,
+        "read_vs_mean": 0.12279109954833986,
+        "read_vs_std": 0.013968428617923384,
     },
 }
 
@@ -197,6 +195,10 @@ def test_golden(figure):
 if __name__ == "__main__":
     import pprint
 
-    regenerated = {name: fn() for name, fn in sorted(FEATURES.items())}
+    regenerated = {
+        name: {key: np.asarray(value, dtype=float).tolist()
+               for key, value in fn().items()}
+        for name, fn in sorted(FEATURES.items())
+    }
     print("GOLDEN = ", end="")
     pprint.pprint(regenerated)

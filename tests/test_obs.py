@@ -363,7 +363,7 @@ class TestTelemetryAttachment:
         """Satellite audit: no envelope path leaves wall_time_s at 0.0."""
         session = Session(technology=technology, seed=SEED)
         try:
-            mc = session.run(_mc_spec())            # legacy unsharded
+            mc = session.run(_mc_spec())            # session default
             sharded = session.run(_mc_spec(workers=1))
             sweep = session.run(_sweep_spec())
             yld = session.run(_yield_spec())

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Execution, ImportanceSampling, MonteCarlo, Session
+from repro.api import (
+    Execution,
+    FactoryMap,
+    ImportanceSampling,
+    MonteCarlo,
+    Session,
+)
 from repro.runtime import (
     FailureAccumulator,
     ParallelExecutor,
@@ -55,23 +61,6 @@ def _multicolumn_work(factory):
     """Factory-map workload with a (n, 3) output (sample axis first)."""
     vt0 = np.asarray(factory("nmos", 600.0, 40.0).params.vt0)
     return np.stack([vt0, 2.0 * vt0, 3.0 * vt0], axis=1)
-
-
-class _AliasedPayloadTask:
-    """Picklable task whose two fields alias one object.
-
-    With the pickle memo enabled the second reference serializes as a
-    backreference, so the memo-enabled and memo-free content digests
-    differ — the checkpoint-migration hazard the legacy-resume test
-    exercises.
-    """
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __call__(self, shard):
-        return float(shard.n_samples)
 
 
 class _CountAccumulator:
@@ -465,9 +454,9 @@ class TestWorkerCountInvariance:
         )
 
     def test_explicit_one_worker_session_matches_two(self, technology):
-        # Regression: `--workers 1` (Session(executor=1)) must engage
-        # the sharded runtime and draw the same stream as `--workers 2`
-        # — the worker count may never pick between legacy and sharded.
+        # Regression: `--workers 1` (Session(executor=1)) must draw the
+        # same stream as `--workers 2` — the worker count never picks
+        # the stream.
         results = {}
         for workers in (1, 2):
             s = Session(technology=technology, seed=20260101,
@@ -484,20 +473,57 @@ class TestWorkerCountInvariance:
             results[2].payload.samples["idsat"],
         )
 
-    def test_legacy_path_untouched_by_runtime(self, session, technology):
-        # execution=None on a serial session must remain the historical
-        # single-stream draw (what the golden figures pin).
-        from repro.stats.montecarlo import target_samples
+    def test_experiment_numbers_do_not_depend_on_the_executor(
+            self, technology):
+        # The CLI surface of the one seed contract: `fig3 --quick` with
+        # and without `--workers 1` prints the same payload.
+        payloads = []
+        for executor in (None, 1):
+            with Session(technology=technology, executor=executor) as s:
+                result = s.run_experiment("fig3", quick=True,
+                                          widths_nm=(300.0, 1000.0))
+            payloads.append(result.payload)
+        np.testing.assert_array_equal(payloads[0].total_mc,
+                                      payloads[1].total_mc)
 
-        result = session.run(MonteCarlo(n_samples=400, w_nm=600.0, seed_offset=2))
-        legacy = target_samples(
-            technology["nmos"], "vs", 600.0, 40.0, technology.vdd, 400,
-            session.rng(2),
-        )
-        np.testing.assert_array_equal(
-            result.payload.samples["idsat"], legacy.samples["idsat"]
-        )
-        assert result.runtime is None
+    @pytest.mark.parametrize("kind", ["MonteCarlo", "ImportanceSampling",
+                                      "FactoryMap"])
+    def test_one_stream_with_or_without_an_executor(self, technology, kind):
+        # One seed contract: a plain Session() draws the same sharded
+        # stream as Session(executor=1) and Session(executor=2) — the
+        # executor (or its absence) never picks the draw.
+        model = technology["nmos"].statistical
+        specs = {
+            "MonteCarlo": MonteCarlo(n_samples=450, w_nm=600.0,
+                                     seed_offset=2),
+            "ImportanceSampling": ImportanceSampling(
+                metric=_vt0_metric,
+                threshold=float(np.asarray(model.nominal.vt0))
+                + 3.0 * model.sigmas(600.0, 40.0)["vt0"],
+                shifts={"vt0": 3.0}, n_samples=450, w_nm=600.0, l_nm=40.0,
+                fail_below=False, seed_offset=2,
+            ),
+            "FactoryMap": FactoryMap(work=_vt0_work, n_samples=450,
+                                     seed_offset=2),
+        }
+        payloads = {}
+        for executor in (None, 1, 2):
+            with Session(technology=technology, seed=20260101,
+                         executor=executor) as s:
+                result = s.run(specs[kind])
+            assert result.runtime is not None
+            assert result.runtime.n_shards == 3     # 450 / auto 200
+            payloads[executor] = result.payload
+        for executor in (1, 2):
+            if kind == "MonteCarlo":
+                for target, values in payloads[None].samples.items():
+                    np.testing.assert_array_equal(
+                        values, payloads[executor].samples[target])
+            elif kind == "ImportanceSampling":
+                assert payloads[executor] == payloads[None]
+            else:
+                np.testing.assert_array_equal(payloads[None],
+                                              payloads[executor])
 
 
 # ----------------------------------------------------------------------
@@ -729,57 +755,6 @@ class TestCheckpoint:
                 execution=Execution(shard_size=100, wave_size=1,
                                     checkpoint=prefix),
             ))
-
-    def test_pre_pr7_memo_checkpoint_is_migrated_on_resume(self, tmp_path):
-        # Regression: disabling the pickle memo in task_fingerprint
-        # changed every digest, so checkpoints written by earlier
-        # releases live under filenames the new fingerprint never
-        # derives.  A resume must adopt (and retire) the legacy file
-        # instead of silently starting over and orphaning it.
-        import os
-
-        from repro.runtime import save_checkpoint
-        from repro.runtime.runner import (
-            _checkpoint_file,
-            _legacy_task_fingerprint,
-            task_fingerprint,
-        )
-
-        shared = ("aliased", 1.0)
-        task = _AliasedPayloadTask(shared, shared)
-        # The aliasing makes the memo-enabled (legacy) digest differ
-        # from the memo-free one — the exact upgrade hazard.
-        assert _legacy_task_fingerprint(task) != task_fingerprint(task)
-
-        prefix = str(tmp_path / "legacy.ckpt")
-        plan = plan_shards(40, 10, base_seed=7)
-        first = run_sharded(
-            task, plan, SerialExecutor(), accumulator=_CountAccumulator(),
-            accumulate=_count_accumulate, wave_size=1,
-            stop=StopRule(max_samples=20), checkpoint_path=prefix,
-        )
-        assert first.info.shards_run == 2
-        # Rewrite the on-disk state exactly as a pre-PR-7 release left
-        # it: same checkpoint, filed under the legacy label/filename.
-        (new_path,) = tmp_path.glob("legacy.ckpt.*.ckpt")
-        legacy_label = _legacy_task_fingerprint(task)
-        legacy_path = _checkpoint_file(prefix, plan, 1, legacy_label)
-        checkpoint = load_checkpoint(str(new_path))
-        from dataclasses import replace
-        save_checkpoint(legacy_path, replace(checkpoint, task=legacy_label))
-        os.unlink(new_path)
-
-        resumed = run_sharded(
-            task, plan, SerialExecutor(), accumulator=_CountAccumulator(),
-            accumulate=_count_accumulate, wave_size=1,
-            checkpoint_path=prefix,
-        )
-        assert resumed.info.resumed_shards == 2
-        assert resumed.accumulator.n == 40
-        # Migrated, not orphaned: the legacy file is gone and the
-        # completed run's state lives under the new filename.
-        assert not os.path.exists(legacy_path)
-        assert list(tmp_path.glob("legacy.ckpt.*.ckpt"))
 
     def test_checkpointing_refuses_unpicklable_tasks(self, session,
                                                      technology, tmp_path):

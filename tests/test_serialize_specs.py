@@ -161,7 +161,6 @@ sweep = st.builds(
     Sweep,
     spec=st.one_of(montecarlo, yield_spec),
     over=st.fixed_dictionaries({"w_nm": axis_values}),
-    seed_mode=st.sampled_from(("spawn", "legacy")),
     execution=sweep_execution,
 )
 

@@ -382,6 +382,17 @@ class TestJobRegistry:
             {"fingerprint": "d" * 64, "seed": SEED, "spec": document}))
         self._recover_with_probe(technology, store, fp)
 
+    def test_recover_drops_sweep_with_seed_mode(self, technology, store):
+        # Sweeps lost ``seed_mode`` (one seed contract): a Sweep
+        # journaled by an older daemon is dropped and counted, never
+        # replayed under a different stream.
+        document = encode(Sweep(MonteCarlo(n_samples=16),
+                                over={"w_nm": (300.0, 600.0)}))
+        document["fields"]["seed_mode"] = "legacy"
+        fp = self._journal_probe(store, "f", json.dumps(
+            {"fingerprint": "f" * 64, "seed": SEED, "spec": document}))
+        self._recover_with_probe(technology, store, fp)
+
     def test_recover_never_calls_disallowed_callables(self, technology,
                                                       store, capsys):
         # Regression: journal specs were decoded without the daemon's

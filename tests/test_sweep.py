@@ -1,11 +1,9 @@
 """The sweep combinator + non-blocking Session futures.
 
 Pins the PR-5 contracts: the sweep axis algebra (dotted paths, zipped
-axes, nested-sweep flattening, validation), both point-seed contracts
-(legacy ``seed_offset + j`` — what keeps the rewritten experiments
-golden-stable — and the nested spawn contract
-``SeedSequence(base_seed, (j,))`` / inner shards ``(j, i)``),
-bit-identity of sweep output at 1/2/8 workers and across sweep shard
+axes, nested-sweep flattening, validation), the nested point-seed
+contract (shard *i* of point *j* draws ``SeedSequence(base_seed,
+(j, i))``), bit-identity of sweep output at 1/2/8 workers and across sweep shard
 sizes, checkpoint/resume across sweep-point boundaries,
 ``SweepResult.to_json``/``from_json`` round-tripping numpy payloads,
 and the ``RunHandle`` future surface (progress, partial snapshots,
@@ -31,7 +29,6 @@ from repro.api import (
     Session,
     Sweep,
     SweepResult,
-    sweep_point_offset,
 )
 
 RTOL = 1e-9
@@ -119,16 +116,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="conflicting"):
             Sweep(inner, over={"work": (RngWork(3.0),)})
 
-    def test_legacy_points_carry_their_seed_offset(self):
+    def test_points_keep_the_wrapped_seed_offset(self):
+        """Points differ by spawn key only; there is no per-point offset."""
         sweep = Sweep(
             MonteCarlo(n_samples=10, seed_offset=40),
             over={"w_nm": (300.0, 600.0, 900.0)},
-            seed_mode="legacy",
         )
         assert [p.seed_offset for p in map(sweep.point_spec, range(3))] == [
-            40, 41, 42
+            40, 40, 40
         ]
-        assert sweep_point_offset(40, 2) == 42
 
     def test_validation_rejects_bad_inputs(self):
         mc = MonteCarlo(n_samples=10)
@@ -140,8 +136,6 @@ class TestSweepSpec:
             Sweep(mc, over={"not_a_field": (1.0,)})
         with pytest.raises(ValueError):
             Sweep(mc, over={"w_nm": (-1.0,)})  # point 0 revalidates
-        with pytest.raises(ValueError):
-            Sweep(mc, over={"w_nm": (300.0,)}, seed_mode="offset")
         with pytest.raises(TypeError):
             Sweep(DCOp(), over={"t": (0.0,)})
         with pytest.raises(ValueError):
@@ -152,11 +146,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             Sweep(mc, over={"w_nm": (300.0,)},
                   execution=Execution(target_rel_err=0.1))
-        with pytest.raises(ValueError):
-            Sweep(
-                Sweep(mc, over={"l_nm": (40.0,)}, seed_mode="legacy"),
-                over={"w_nm": (300.0,)},
-            )
 
     def test_sweep_does_not_take_a_circuit(self, session):
         sweep = Sweep(MonteCarlo(n_samples=4), over={"w_nm": (300.0,)})
@@ -168,23 +157,6 @@ class TestSweepSpec:
 # Seed contracts.
 # ----------------------------------------------------------------------
 class TestSeedContracts:
-    def test_legacy_points_match_hand_rolled_offsets(self, session):
-        sweep = Sweep(
-            MonteCarlo(n_samples=60, seed_offset=7),
-            over={"w_nm": (300.0, 600.0, 1500.0)},
-            seed_mode="legacy",
-        )
-        result = session.run(sweep)
-        for j, w in enumerate((300.0, 600.0, 1500.0)):
-            direct = session.run(
-                MonteCarlo(n_samples=60, w_nm=w, seed_offset=7 + j)
-            )
-            np.testing.assert_array_equal(
-                result.points[j].payload.samples["idsat"],
-                direct.payload.samples["idsat"],
-            )
-            assert result.points[j].seed == direct.seed
-
     def test_spawn_points_follow_nested_seed_sequence(self, session):
         from repro.stats.montecarlo import target_samples
 
@@ -194,8 +166,9 @@ class TestSeedContracts:
         ))
         base = session.seed + 5
         for j, w in enumerate(widths):
+            # 40 samples fit one automatic shard: shard 0 of point j.
             rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(base, spawn_key=(j,))
+                np.random.SeedSequence(base, spawn_key=(j, 0))
             ))
             manual = target_samples(
                 session.technology["nmos"], "vs", w, 40.0,
@@ -234,28 +207,12 @@ class TestSeedContracts:
 
     def test_single_point_sweep_is_the_identity(self, session):
         spec = MonteCarlo(n_samples=30, w_nm=600.0, seed_offset=9)
-        for seed_mode in ("spawn", "legacy"):
-            sweep = session.run(
-                Sweep(spec, over={"w_nm": (600.0,)}, seed_mode=seed_mode)
-            )
-            direct = session.run(spec)
-            np.testing.assert_array_equal(
-                sweep.points[0].payload.samples["idsat"],
-                direct.payload.samples["idsat"],
-            )
-
-    def test_factory_map_legacy_matches_map_mc(self, session):
-        """FactoryMap sweep points replay the legacy map_mc draws."""
-        sweep = session.run(Sweep(
-            FactoryMap(work=RngWork(1.0), n_samples=32, seed_offset=11),
-            over={"work.scale": (1.0, 3.0)},
-            seed_mode="legacy",
-        ))
-        for j, scale in enumerate((1.0, 3.0)):
-            legacy, _ = session.map_mc(RngWork(scale), 32,
-                                       seed_offset=11 + j)
-            np.testing.assert_array_equal(sweep.points[j].payload, legacy)
-
+        sweep = session.run(Sweep(spec, over={"w_nm": (600.0,)}))
+        direct = session.run(spec)
+        np.testing.assert_array_equal(
+            sweep.points[0].payload.samples["idsat"],
+            direct.payload.samples["idsat"],
+        )
 
 # ----------------------------------------------------------------------
 # Scheduling invariance (the acceptance criterion).
@@ -317,23 +274,21 @@ class TestSchedulingInvariance:
         self, technology
     ):
         """--workers must parallelize the sweep without re-sharding the
-        inner runs: every point keeps its serial legacy stream."""
+        inner runs: every point runs serially on its own stream."""
         serial = Session(technology=technology, seed=77)
-        parallel = Session(technology=technology, seed=77, executor=2)
+        parallel = Session(technology=technology, seed=77, executor=2,
+                           shard_size=16)
         try:
             sweep = Sweep(
                 MonteCarlo(n_samples=40, seed_offset=4),
                 over={"w_nm": (300.0, 600.0)},
-                seed_mode="legacy",
             )
             swept = parallel.run(sweep)
-            assert swept.runtime is not None  # the sweep fanned out...
-            for j, point in enumerate(swept.points):
-                assert point.runtime is None  # ...the points did not
-                direct = serial.run(
-                    MonteCarlo(n_samples=40, w_nm=(300.0, 600.0)[j],
-                               seed_offset=4 + j)
-                )
+            assert swept.runtime.workers == 2  # the sweep fanned out...
+            for point, direct in zip(swept.points, serial.run(sweep).points):
+                # ...the points ran serially, at the automatic shard size.
+                assert point.runtime.workers == 1
+                assert point.runtime.n_shards == 1
                 np.testing.assert_array_equal(
                     point.payload.samples["idsat"],
                     direct.payload.samples["idsat"],
@@ -402,11 +357,9 @@ class TestSweepResult:
         result = session.run(Sweep(
             FactoryMap(work=RngWork(1.0), n_samples=16, seed_offset=1),
             over={"work.scale": (1.0, 2.0), "model": ("vs", "bsim")},
-            seed_mode="legacy",
         ))
         back = SweepResult.from_json(result.to_json())
         assert isinstance(back.spec, Sweep)
-        assert back.spec.seed_mode == "legacy"
         assert back.shape == (2, 2)
         assert back.seed == result.seed
         for a, b in zip(result.points, back.points):
@@ -552,8 +505,7 @@ class TestFutures:
 class TestSeedArithmeticOwnership:
     def test_no_experiment_module_hand_rolls_point_offsets(self):
         """ROADMAP PR-5: per-point streams come from the sweep contract
-        (Sweep seed modes or sweep_point_offset), never inline
-        ``base + k`` arithmetic."""
+        (spawn keys), never inline ``base + k`` arithmetic."""
         import repro.experiments as experiments
 
         root = Path(experiments.__file__).parent
