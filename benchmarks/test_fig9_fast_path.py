@@ -6,8 +6,9 @@ its fallback on the same 400-sample READ-SNM Monte-Carlo:
 * **coalescing** — sharded serial with cross-shard batching vs the same
   shard plan solved shard by shard (the task called once per shard);
 * **analytic derivatives** — a device-level microbenchmark of
-  ``ids_and_derivatives`` in analytic vs stacked finite-difference mode
-  on the fig9-shaped ``(400, 6)`` stacked-device batch.
+  ``ids_and_derivatives`` on the VS model vs the stacked
+  finite-difference fallback (the same model with its gradient hooks
+  cleared) on the fig9-shaped ``(400, 6)`` stacked-device batch.
 
 Every configuration is asserted bit-identical to the default fast path
 (the layers are constant-factor optimizations, never approximations),
@@ -33,6 +34,13 @@ from repro.runtime.tasks import FactoryMapTask
 N_SAMPLES = 400
 SHARD_SIZE = 50
 N_DEVICES = 6  # stacked MOSFETs per forced butterfly half-cell
+
+
+class _FiniteDifferenceVSDevice(VSDevice):
+    """VS device without its gradient hooks: the finite-difference path."""
+
+    _ids_grad_normalized = None
+    _charges_grad_normalized = None
 
 
 def _timed_map(session, work, execution):
@@ -68,14 +76,14 @@ def _timed_per_shard(session, work):
         tasks_mod._PROCESS_PLAN_CACHE = None
 
 
-def _device_eval_rate(derivatives: str, repeats: int = 40) -> float:
+def _device_eval_rate(device_cls: type, repeats: int = 40) -> float:
     """Model evaluations/sec of one stacked fig9-shaped device batch."""
     rng = np.random.default_rng(7)
     card = vs_nmos_40nm(300.0, 40.0)
     vt0 = float(np.asarray(card.vt0)) + rng.normal(
         0.0, 0.03, size=(N_SAMPLES, N_DEVICES)
     )
-    device = VSDevice(card.replace(vt0=vt0), derivatives=derivatives)
+    device = device_cls(card.replace(vt0=vt0))
     vg = rng.uniform(0.0, 0.9, size=(N_SAMPLES, N_DEVICES))
     vd = rng.uniform(0.05, 0.9, size=(N_SAMPLES, N_DEVICES))
     vs = np.zeros((N_SAMPLES, N_DEVICES))
@@ -97,8 +105,8 @@ def test_fig9_fast_path_layers(results_dir, record_report):
     # The layers are exact: every fallback produces the same bits.
     np.testing.assert_array_equal(fast, uncoalesced)
 
-    analytic_rate = _device_eval_rate("analytic")
-    fd_rate = _device_eval_rate("fd")
+    analytic_rate = _device_eval_rate(VSDevice)
+    fd_rate = _device_eval_rate(_FiniteDifferenceVSDevice)
 
     record = {
         "benchmark": "fig9 SRAM READ-SNM fast-path layer decomposition",

@@ -291,8 +291,8 @@ class Session:
     ) -> dict:
         """The shared plan/executor/stopping kwargs of every runtime run.
 
-        One home for the dispatch plumbing so the Monte-Carlo,
-        importance-sampling and factory-map paths cannot drift apart.
+        One home for the dispatch plumbing so the Monte-Carlo and
+        factory-map paths cannot drift apart.
         """
         from repro.runtime import plan_for_execution, stop_rule_for_execution
 
@@ -476,10 +476,7 @@ class Session:
         if isinstance(spec, MonteCarlo):
             return self._run_montecarlo(spec, scope, observer,
                                         inherit_execution)
-        if isinstance(spec, ImportanceSampling):
-            return self._run_importance(spec, scope, observer,
-                                        inherit_execution)
-        if isinstance(spec, Yield):
+        if isinstance(spec, (ImportanceSampling, Yield)):
             return self._run_yield(spec, scope, observer,
                                    inherit_execution)
         if isinstance(spec, FactoryMap):
@@ -590,56 +587,42 @@ class Session:
             },
         )
 
-    def _run_importance(self, spec: ImportanceSampling, scope=None,
-                        observer=None,
-                        inherit_execution: bool = True) -> Result:
-        from repro.runtime import run_importance
+    def _run_yield(self, spec: Union[ImportanceSampling, Yield], scope=None,
+                   observer=None, inherit_execution: bool = True) -> Result:
+        """Importance sampling on the yield engine (the only sampler).
 
-        model = self.technology[spec.polarity].statistical
-        execution = self._spec_execution(spec, inherit_execution)
-        args = self._runtime_args(
-            execution, spec.n_samples, spec.seed_offset, "probability",
-            scope=scope, observer=observer,
-        )
-        start = time.perf_counter()
-        payload, _, info = run_importance(
-            model,
-            spec.metric,
-            spec.threshold,
-            spec.shifts_dict(),
-            args.pop("plan"),
-            args.pop("executor"),
-            w_nm=spec.w_nm,
-            l_nm=spec.l_nm,
-            fail_below=spec.fail_below,
-            **args,
-        )
-        elapsed = time.perf_counter() - start
-        return Result(
-            payload=payload,
-            spec=spec,
-            backend="device",
-            seed=info.base_seed,
-            n_samples=info.n_samples,
-            wall_time_s=elapsed,
-            runtime=info,
-            meta=self._scope_meta(scope),
-        )
-
-    def _run_yield(self, spec: Yield, scope=None, observer=None,
-                   inherit_execution: bool = True) -> Result:
-        """Adaptive CE importance sampling (the rare-event yield engine).
-
-        The engine always draws in the spec's fixed blocks, so the
-        envelope is a pure function of the seed basis and the spec,
-        never of workers or ``execution.shard_size``.
+        A ``Yield`` draws in its spec's fixed blocks, so its envelope is
+        a pure function of the seed basis and the spec, never of workers
+        or ``execution.shard_size``.  An ``ImportanceSampling`` spec is
+        the zero-round, single-component ``Yield`` whose blocks are the
+        execution's shards (``execution.shard_size``, else
+        ``auto_shard_size(n_samples)``); its payload is the plain
+        :class:`~repro.stats.importance.FailureEstimate`, without
+        ``meta["yield"]``.
         """
-        from repro.runtime import stop_rule_for_execution
+        from repro.runtime import auto_shard_size, stop_rule_for_execution
+        from repro.stats.importance import FailureEstimate
         from repro.stats.yield_engine import run_yield
 
         model = self.technology[spec.polarity].statistical
         execution = self._spec_execution(spec, inherit_execution)
         base_seed, spawn_prefix = self._seed_basis(spec.seed_offset, scope)
+        fixed_shift = isinstance(spec, ImportanceSampling)
+        if fixed_shift:
+            proposal = dict(
+                n_rounds=0, n_components=1,
+                block_size=execution.shard_size
+                or auto_shard_size(spec.n_samples),
+            )
+        else:
+            proposal = dict(
+                n_rounds=spec.n_rounds,
+                n_per_round=spec.n_per_round,
+                n_components=spec.n_components,
+                elite_fraction=spec.elite_fraction,
+                smoothing=spec.smoothing,
+                block_size=spec.block_size,
+            )
         start = time.perf_counter()
         payload, yield_meta, info = run_yield(
             model,
@@ -648,12 +631,7 @@ class Session:
             spec.shifts_dict(),
             spec.n_samples,
             self.executor_for(execution),
-            n_rounds=spec.n_rounds,
-            n_per_round=spec.n_per_round,
-            n_components=spec.n_components,
-            elite_fraction=spec.elite_fraction,
-            smoothing=spec.smoothing,
-            block_size=spec.block_size,
+            **proposal,
             base_seed=base_seed,
             spawn_prefix=spawn_prefix,
             w_nm=spec.w_nm,
@@ -665,15 +643,26 @@ class Session:
             observer=observer,
         )
         elapsed = time.perf_counter() - start
+        meta = self._scope_meta(scope)
+        if fixed_shift:
+            payload = FailureEstimate(
+                probability=payload.probability,
+                std_error=payload.std_error,
+                n_samples=payload.n_samples,
+                effective_samples=payload.effective_samples,
+                n_failures=payload.n_failures,
+            )
+        else:
+            meta = {"yield": yield_meta, **meta}
         return Result(
             payload=payload,
             spec=spec,
             backend="device",
-            seed=base_seed,
+            seed=info.base_seed,
             n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
-            meta={"yield": yield_meta, **self._scope_meta(scope)},
+            meta=meta,
         )
 
     def _run_factory_map(self, spec: FactoryMap, scope=None, observer=None,

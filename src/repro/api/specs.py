@@ -136,6 +136,15 @@ def _check_execution(execution) -> None:
         )
 
 
+def _check_shift_names(shifts: Tuple[Tuple[str, float], ...]) -> None:
+    """Reject shifts on parameters the statistical model does not draw."""
+    from repro.stats.pelgrom import PARAMETER_ORDER
+
+    unknown = {name for name, _ in shifts} - set(PARAMETER_ORDER)
+    if unknown:
+        raise ValueError(f"unknown statistical parameters {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class AnalysisSpec:
     """Base class of every declarative analysis description."""
@@ -286,7 +295,13 @@ class ImportanceSampling(AnalysisSpec):
     ``metric`` maps a batched ``VSParams`` card to a metric array; the
     estimate is ``P(metric < threshold)`` (or ``>`` with
     ``fail_below=False``).  ``shifts`` are per-parameter shifts in sigma
-    units, e.g. ``{"vt0": +4.0}``.
+    units, e.g. ``{"vt0": +4.0}``; names outside the statistical
+    parameter set are rejected here, not at run time.
+
+    Runs on the yield engine as the zero-round, single-component
+    :class:`Yield` whose blocks are the execution's shards
+    (``execution.shard_size``, else ``auto_shard_size(n_samples)``); the
+    payload is a :class:`~repro.stats.importance.FailureEstimate`.
     """
 
     metric: Callable
@@ -307,6 +322,7 @@ class ImportanceSampling(AnalysisSpec):
             raise ValueError("metric must be a callable")
         if not self.shifts:
             raise ValueError("shifts must name at least one parameter")
+        _check_shift_names(self.shifts)
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.polarity not in ("nmos", "pmos"):
@@ -337,10 +353,9 @@ class Yield(AnalysisSpec):
     *b* uses ``spawn_key=(b,)`` (nested one level deeper under a sweep
     point).  The block partition is spec geometry, so the envelope is
     bit-identical at every worker count **and across shard sizes**
-    (``execution.shard_size`` does not apply to ``Yield``); with
-    ``n_rounds=0`` and ``n_components=1`` it reproduces a sharded
-    :class:`ImportanceSampling` run at ``shard_size=block_size``
-    exactly.
+    (``execution.shard_size`` does not apply to ``Yield``).  An
+    :class:`ImportanceSampling` run is this engine with ``n_rounds=0``
+    and ``n_components=1`` at ``block_size`` equal to its shard size.
     """
 
     metric: Callable
@@ -370,13 +385,7 @@ class Yield(AnalysisSpec):
                 "shifts must name at least one adapted parameter (its "
                 "values seed the round-zero proposal; 0.0 is allowed)"
             )
-        from repro.stats.pelgrom import PARAMETER_ORDER
-
-        unknown = {name for name, _ in self.shifts} - set(PARAMETER_ORDER)
-        if unknown:
-            raise ValueError(
-                f"unknown statistical parameters {sorted(unknown)}"
-            )
+        _check_shift_names(self.shifts)
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.n_rounds < 0:

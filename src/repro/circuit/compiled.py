@@ -300,7 +300,6 @@ def _mosfet_signature(model) -> tuple:
         type(model),
         int(model.polarity),
         getattr(model, "temperature", None),
-        getattr(model, "derivatives", None),
     )
 
 

@@ -17,13 +17,12 @@ Conventions
 * Source/drain symmetry is handled here once: subclasses implement the
   model in normalized space (NMOS-like, ``vds >= 0``) and the base class
   applies polarity folding and terminal swapping.
-* Derivatives come in two flavours, selected by the ``derivatives``
-  constructor switch: ``"analytic"`` (default) dispatches to the
+* Derivatives are analytic wherever the model implements the
   closed-form normalized-space gradient hooks ``_ids_grad_normalized`` /
-  ``_charges_grad_normalized`` when the model implements them, and the
-  base class applies the same polarity/swap chain rule it applies to the
-  values; ``"fd"`` (or a model without the hooks) falls back to the
-  stacked finite-difference stamps.  Analytic derivatives cut the model
+  ``_charges_grad_normalized``: the base class applies the same
+  polarity/swap chain rule it applies to the values.  A model without
+  the hooks (e.g. the alpha-power baseline) falls back to the stacked
+  finite-difference stamps.  Analytic derivatives cut the model
   evaluations per Newton iteration from four to one.
 """
 
@@ -86,13 +85,8 @@ def _fold_bias(vg, vd, vs, sign):
 class DeviceModel(abc.ABC):
     """Abstract four-terminal (gate/drain/source, bulk folded) MOSFET model."""
 
-    def __init__(self, polarity: Polarity, derivatives: str = "analytic"):
-        if derivatives not in ("analytic", "fd"):
-            raise ValueError(
-                f"derivatives must be 'analytic' or 'fd', got {derivatives!r}"
-            )
+    def __init__(self, polarity: Polarity):
         self.polarity = Polarity(polarity)
-        self.derivatives = derivatives
 
     # ------------------------------------------------------------------
     # Normalized-space hooks implemented by concrete models.
@@ -147,16 +141,15 @@ class DeviceModel(abc.ABC):
         """Return ``(ids, gm, gds, gms)``.
 
         ``gm = d ids/d vg``, ``gds = d ids/d vd``, ``gms = d ids/d vs``.
-        With ``derivatives="analytic"`` (the default) and a model that
-        implements :attr:`_ids_grad_normalized`, one closed-form model
-        evaluation replaces the four stacked finite-difference bias
-        points; the base class folds the normalized-space gradient back
-        through polarity and source/drain swap.  ``derivatives="fd"`` or
-        a hook-less model uses forward differences (an inexact Jacobian
-        only costs Newton an occasional extra iteration).
+        For a model that implements :attr:`_ids_grad_normalized`, one
+        closed-form model evaluation replaces the four stacked
+        finite-difference bias points; the base class folds the
+        normalized-space gradient back through polarity and source/drain
+        swap.  A hook-less model uses forward differences (an inexact
+        Jacobian only costs Newton an occasional extra iteration).
         """
         grad = self._ids_grad_normalized
-        if grad is None or self.derivatives != "analytic":
+        if grad is None:
             h = _FD_STEP
             i4 = self.ids(*_fd_bias_points(vg, vd, vs, h))
             i0 = i4[0]
@@ -181,12 +174,12 @@ class DeviceModel(abc.ABC):
         ``q`` is the terminal charge tuple ``(qg, qd, qs)``; ``cmat`` the
         dict ``{(i, j): dq_i/dv_j}`` over terminals ``'g'/'d'/'s'``.
         Analytic when the model implements
-        :attr:`_charges_grad_normalized` and ``derivatives="analytic"``,
-        forward differences otherwise; either way the swap folding mirror
-        of :meth:`charges` is applied here once.
+        :attr:`_charges_grad_normalized`, forward differences otherwise;
+        either way the swap folding mirror of :meth:`charges` is applied
+        here once.
         """
         grad = self._charges_grad_normalized
-        if grad is None or self.derivatives != "analytic":
+        if grad is None:
             h = _FD_STEP
             terminals = ("g", "d", "s")
             q4 = self.charges(*_fd_bias_points(vg, vd, vs, h))

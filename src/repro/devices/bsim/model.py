@@ -47,9 +47,8 @@ class BSIMDevice(DeviceModel):
         self,
         params: BSIMParams,
         temperature: float = T_NOMINAL,
-        derivatives: str = "analytic",
     ):
-        super().__init__(params.polarity, derivatives)
+        super().__init__(params.polarity)
         params.validate()
         self.params = params
         self.temperature = temperature
@@ -313,5 +312,5 @@ class BSIMDevice(DeviceModel):
         return self.ids(0.0, vdd, 0.0)
 
     def with_params(self, params: BSIMParams) -> "BSIMDevice":
-        """New device sharing temperature/derivative mode, new card."""
-        return BSIMDevice(params, self.temperature, self.derivatives)
+        """New device sharing temperature, new card."""
+        return BSIMDevice(params, self.temperature)

@@ -82,9 +82,8 @@ class VSDevice(DeviceModel):
         self,
         params: VSParams,
         temperature: float = T_NOMINAL,
-        derivatives: str = "analytic",
     ):
-        super().__init__(params.polarity, derivatives)
+        super().__init__(params.polarity)
         params.validate()
         self.params = _apply_temperature(params, temperature)
         self.temperature = temperature
@@ -335,5 +334,5 @@ class VSDevice(DeviceModel):
         return self.ids(0.0, vdd, 0.0)
 
     def with_params(self, params: VSParams) -> "VSDevice":
-        """New device sharing temperature/derivative mode, new card."""
-        return VSDevice(params, self.temperature, self.derivatives)
+        """New device sharing temperature, new card."""
+        return VSDevice(params, self.temperature)

@@ -65,11 +65,9 @@ from repro.runtime.sharding import (
 from repro.runtime.stopping import StopDecision, StopRule
 from repro.runtime.tasks import (
     FactoryMapTask,
-    ImportanceTask,
     TargetSamplesTask,
     run_array_task,
     run_factory_map,
-    run_importance,
     run_target_samples,
 )
 
@@ -107,10 +105,8 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "TargetSamplesTask",
-    "ImportanceTask",
     "FactoryMapTask",
     "run_target_samples",
-    "run_importance",
     "run_factory_map",
     "run_array_task",
 ]

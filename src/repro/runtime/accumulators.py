@@ -215,9 +215,8 @@ class FailureAccumulator:
     """Streaming sufficient statistics of an importance-sampled estimate.
 
     Folds in per-sample weighted failure contributions
-    (``weight * indicator``) plus the raw weights, and reproduces the
-    batch formulas of :func:`repro.stats.importance.
-    estimate_failure_probability`: probability = mean(contrib),
+    (``weight * indicator``) plus the raw weights, and streams the batch
+    importance-sampling formulas: probability = mean(contrib),
     ``std_error = std(contrib, ddof=1)/sqrt(n)``, Kish effective sample
     size from the weight sums, and the observed failure count.  Plain
     (unweighted) Monte-Carlo failure counting is the ``weights=None``
@@ -326,8 +325,7 @@ class WeightedFailureAccumulator(FailureAccumulator):
     The failure-probability estimate itself (``probability``,
     ``std_error``, ``effective_samples``, ``relative_error``) is the
     inherited one, bit-identical to :class:`FailureAccumulator` for the
-    same update sequence, which is what keeps the ``Yield`` zero-round
-    special case exactly equal to sharded ``ImportanceSampling``.
+    same update sequence.
     """
 
     __slots__ = ("fail_w", "fail_wx", "fail_wx2")

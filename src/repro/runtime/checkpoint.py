@@ -12,10 +12,18 @@ output is bit-identical to an uninterrupted run.
 The on-disk format is a pickle (accumulator states are plain dicts but
 shard payloads are engine dataclasses with numpy arrays).  Checkpoints
 are internal working state: load them only from paths you wrote.
+
+A file that cannot be read back — truncated, undecodable, or lacking
+the format marker — is treated as absent: it is logged, counted in
+``repro_checkpoint_corrupt_total`` and the run restarts from zero,
+which reproduces the same bits because every shard stream is
+deterministic.  A *readable* checkpoint written for a different run is
+not corruption; the runner rejects it rather than discard it.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import tempfile
@@ -23,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import default_registry
+from repro.obs import default_registry, get_logger, log_event
 from repro.obs.trace import span
 
 __all__ = ["RunCheckpoint", "save_checkpoint", "load_checkpoint"]
@@ -37,6 +45,10 @@ _WRITE_SECONDS = _REGISTRY.histogram(
     "repro_checkpoint_write_seconds", "Checkpoint write latency")
 _LOADS = _REGISTRY.counter(
     "repro_checkpoint_loads_total", "Checkpoint files restored")
+_CORRUPT = _REGISTRY.counter(
+    "repro_checkpoint_corrupt_total",
+    "Unreadable checkpoint files discarded (run restarted from zero)")
+_LOG = get_logger("runtime.checkpoint")
 
 #: Format marker (bump on incompatible layout changes).
 _MAGIC = "repro-runtime-checkpoint-v1"
@@ -101,13 +113,30 @@ def save_checkpoint(path: str, checkpoint: RunCheckpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Optional[RunCheckpoint]:
-    """Load a checkpoint, or None when *path* does not exist."""
+    """Load a checkpoint, or None when *path* holds no usable one.
+
+    A missing file and an unreadable one (truncated or undecodable
+    pickle, wrong format marker) both answer None, so the run starts
+    from zero; the unreadable case is logged and counted.
+    """
     if not os.path.exists(path):
         return None
     with span("checkpoint.load"):
         with open(path, "rb") as handle:
-            blob = pickle.load(handle)
-    if not isinstance(blob, dict) or blob.get("magic") != _MAGIC:
-        raise ValueError(f"{path} is not a runtime checkpoint")
+            try:
+                blob = pickle.load(handle)
+            except Exception as exc:  # any decode failure is corruption
+                return _discard_corrupt(path, type(exc).__name__)
+    if (not isinstance(blob, dict) or blob.get("magic") != _MAGIC
+            or not isinstance(blob.get("checkpoint"), RunCheckpoint)):
+        return _discard_corrupt(path, "not a runtime checkpoint")
     _LOADS.inc()
     return blob["checkpoint"]
+
+
+def _discard_corrupt(path: str, reason: str) -> None:
+    """Log and count an unreadable checkpoint; the caller restarts."""
+    log_event(_LOG, "checkpoint.corrupt", level=logging.WARNING,
+              path=path, reason=reason)
+    _CORRUPT.inc()
+    return None

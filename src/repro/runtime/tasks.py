@@ -10,29 +10,25 @@ payload from the ordered shard outputs:
   are :class:`~repro.stats.montecarlo.TargetSamples` concatenated in
   shard order, streamed into a
   :class:`~repro.runtime.accumulators.TargetAccumulator`.
-* :func:`run_importance` — mean-shift importance sampling; shard
-  payloads are :class:`~repro.runtime.accumulators.FailureAccumulator`
-  sufficient statistics merged in shard order (no sample arrays cross
-  process boundaries).
 * :func:`run_factory_map` — circuit-level Monte-Carlo: any
   ``work(factory) -> (n,) array`` over a per-shard
   :class:`~repro.cells.factory.MonteCarloDeviceFactory`.
 * :func:`run_array_task` — generic fan-out for tasks that already
   return per-shard sample arrays (the SSTA graph engine uses this).
+
+Importance-sampled estimates (``ImportanceSampling`` and ``Yield``)
+have one shard task and one runner, both in
+:mod:`repro.stats.yield_engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.runtime.accumulators import (
-    FailureAccumulator,
-    StreamStats,
-    TargetAccumulator,
-)
+from repro.runtime.accumulators import StreamStats, TargetAccumulator
 from repro.runtime.executors import Executor
 from repro.runtime.runner import RuntimeInfo, run_sharded
 from repro.runtime.sharding import Shard, ShardPlan
@@ -40,11 +36,9 @@ from repro.runtime.stopping import StopRule
 
 __all__ = [
     "TargetSamplesTask",
-    "ImportanceTask",
     "FactoryMapTask",
     "ArrayAccumulator",
     "run_target_samples",
-    "run_importance",
     "run_factory_map",
     "run_array_task",
 ]
@@ -105,82 +99,6 @@ def run_target_samples(
         observer=observer,
     )
     return concat_target_samples(run.payloads), run.accumulator, run.info
-
-
-# ----------------------------------------------------------------------
-# Importance sampling (ImportanceSampling specs).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ImportanceTask:
-    """One shard of a mean-shift importance-sampling estimate.
-
-    The payload is a shard-local :class:`FailureAccumulator` — sufficient
-    statistics only, so arbitrarily large shards stream back in O(1).
-    """
-
-    model: object                   #: StatisticalVSModel
-    metric: Callable
-    threshold: float
-    shifts: Tuple[Tuple[str, float], ...]
-    w_nm: Optional[float]
-    l_nm: Optional[float]
-    fail_below: bool
-
-    def __call__(self, shard: Shard) -> FailureAccumulator:
-        from repro.stats.importance import importance_trial
-
-        weights, fails = importance_trial(
-            self.model, self.metric, self.threshold, dict(self.shifts),
-            shard.n_samples, shard.rng(),
-            w_nm=self.w_nm, l_nm=self.l_nm, fail_below=self.fail_below,
-        )
-        return FailureAccumulator().update(fails, weights)
-
-
-def run_importance(
-    model,
-    metric: Callable,
-    threshold: float,
-    shifts: Dict[str, float],
-    plan: ShardPlan,
-    executor: Executor,
-    w_nm: Optional[float] = None,
-    l_nm: Optional[float] = None,
-    fail_below: bool = True,
-    stop: Optional[StopRule] = None,
-    wave_size: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    observer=None,
-):
-    """Sharded mean-shift importance sampling.
-
-    Returns ``(FailureEstimate, FailureAccumulator, RuntimeInfo)``.  The
-    estimate is assembled from the shard accumulators merged in shard
-    order, so it is worker-count invariant.
-    """
-    from repro.stats.importance import FailureEstimate
-
-    task = ImportanceTask(
-        model=model, metric=metric, threshold=float(threshold),
-        shifts=tuple(sorted(shifts.items())),
-        w_nm=w_nm, l_nm=l_nm, fail_below=bool(fail_below),
-    )
-    run = run_sharded(
-        task, plan, executor,
-        accumulator=FailureAccumulator(),
-        accumulate=lambda acc, payload: acc.merge(payload),
-        stop=stop, wave_size=wave_size, checkpoint_path=checkpoint_path,
-        observer=observer,
-    )
-    acc: FailureAccumulator = run.accumulator
-    estimate = FailureEstimate(
-        probability=float(acc.probability),
-        std_error=float(acc.std_error),
-        n_samples=int(acc.n_samples),
-        effective_samples=float(acc.effective_samples),
-        n_failures=int(acc.n_fail),
-    )
-    return estimate, acc, run.info
 
 
 # ----------------------------------------------------------------------

@@ -12,18 +12,24 @@ an unbiased estimator whose variance collapses when the shift lands near
 the dominant failure point.  This is the standard high-sigma companion
 to the paper's statistical model — cheap here because the VS parameters
 are independent Gaussians by construction (Sec. II-B).
+
+This module holds the pieces every importance-sampled estimate shares:
+the density-ratio formula (:func:`importance_weights`), the estimate
+payload (:class:`FailureEstimate`) with its degenerate-case policy, and
+the picklable :class:`ParameterMetric`.  The sampler itself is
+:mod:`repro.stats.yield_engine`: ``session.run(ImportanceSampling(...))``
+runs the zero-round, single-component yield engine, whose mixture
+weights delegate to :func:`importance_weights`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.devices.vs.params import VSParams
-from repro.devices.vs.statistical import StatisticalVSModel
-from repro.stats.pelgrom import PARAMETER_ORDER
 
 
 @dataclass(frozen=True)
@@ -95,92 +101,3 @@ def importance_weights(
         x = deviations[name]
         log_w = log_w + (m**2 - 2.0 * m * x) / (2.0 * sigmas[name] ** 2)
     return np.exp(log_w)
-
-
-def importance_trial(
-    model: StatisticalVSModel,
-    metric: Callable[[VSParams], np.ndarray],
-    threshold: float,
-    shifts: Dict[str, float],
-    n_samples: int,
-    rng: np.random.Generator,
-    w_nm: Optional[float] = None,
-    l_nm: Optional[float] = None,
-    fail_below: bool = True,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One chunk of mean-shifted trials: ``(weights, fails)`` arrays.
-
-    The pure sampling core of :func:`estimate_failure_probability`,
-    shared with the parallel runtime's shard tasks: a shard evaluates
-    its own chunk with its own stream and the combined estimate follows
-    from the streamed sufficient statistics.
-    """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    unknown = set(shifts) - set(PARAMETER_ORDER)
-    if unknown:
-        raise KeyError(f"unknown statistical parameters {sorted(unknown)}")
-
-    w = float(model.nominal.w_nm if w_nm is None else w_nm)
-    l = float(model.nominal.l_nm if l_nm is None else l_nm)
-    sigmas = model.sigmas(w, l)
-
-    offsets = {
-        name: np.full(n_samples, shift * sigmas[name])
-        for name, shift in shifts.items()
-    }
-    sample = model.sample(n_samples, rng, w_nm=w, l_nm=l,
-                          extra_deviations=offsets)
-    weights = importance_weights(sample.deviations, shifts, sigmas)
-
-    values = np.asarray(metric(sample.params))
-    fails = values < threshold if fail_below else values > threshold
-    return weights, fails
-
-
-def estimate_failure_probability(
-    model: StatisticalVSModel,
-    metric: Callable[[VSParams], np.ndarray],
-    threshold: float,
-    shifts: Dict[str, float],
-    n_samples: int,
-    rng: np.random.Generator,
-    w_nm: Optional[float] = None,
-    l_nm: Optional[float] = None,
-    fail_below: bool = True,
-) -> FailureEstimate:
-    """Estimate ``P(metric < threshold)`` (or ``>``) by mean-shift IS.
-
-    Parameters
-    ----------
-    metric:
-        Maps a batched :class:`VSParams` card to a metric array (e.g. a
-        device figure of merit, or an SNM computed through the circuit
-        engine).
-    shifts:
-        Per-parameter shift in sigma units, e.g. ``{"vt0": +4.0}`` to
-        push threshold voltage upward.
-    """
-    weights, fails = importance_trial(
-        model, metric, threshold, shifts, n_samples, rng,
-        w_nm=w_nm, l_nm=l_nm, fail_below=fail_below,
-    )
-    contrib = weights * fails
-
-    probability = float(np.mean(contrib))
-    if n_samples < 2:
-        # ddof=1 on a single sample would emit a RuntimeWarning and
-        # yield NaN; the degenerate-run policy is an explicit inf.
-        std_error = np.inf
-    else:
-        std_error = float(np.std(contrib, ddof=1) / np.sqrt(n_samples))
-    sum_w = float(np.sum(weights))
-    sum_w2 = float(np.sum(weights**2))
-    effective = sum_w**2 / sum_w2 if sum_w2 > 0.0 else 0.0
-    return FailureEstimate(
-        probability=probability,
-        std_error=std_error,
-        n_samples=n_samples,
-        effective_samples=effective,
-        n_failures=int(np.count_nonzero(fails)),
-    )

@@ -24,9 +24,16 @@ samples; block *b* of adaptation round *r* draws from
 block *b* from ``spawn_key=(*prefix, b)``.  The block partition is a
 property of the spec — never of ``Execution.shard_size`` or the worker
 count — so the yield envelope is bit-identical at every worker count
-*and* across shard sizes, and ``Yield(n_rounds=0, n_components=1)``
-reproduces a sharded ``ImportanceSampling`` run at
-``shard_size=block_size`` exactly (blocks are its shards).
+*and* across shard sizes.
+
+**The only importance sampler.**  :func:`run_yield` with
+``n_rounds=0`` and ``n_components=1`` is a fixed mean-shift
+importance-sampled estimate, and that is how ``ImportanceSampling``
+specs run: ``Session`` calls it with ``block_size`` set to the
+execution's shard size (``execution.shard_size``, else
+``auto_shard_size(n_samples)``), so an ``ImportanceSampling`` run and
+``Yield(n_rounds=0, n_components=1)`` at that block size are the same
+computation.
 
 Checkpoint/resume: every phase shares the caller's checkpoint *prefix*;
 each round derives its own fingerprinted file (the spawn prefix carries
@@ -88,9 +95,9 @@ class GaussianMixtureShift:
     Component *k* shifts parameter ``names[p]`` by ``shifts[k][p]`` sigma
     (unit component covariance in sigma space — only the means adapt,
     the textbook CE parameterization for Gaussian inputs).  ``K == 1``
-    degenerates to the fixed mean shift of :mod:`repro.stats.importance`
-    and delegates its weight computation there, which is what makes the
-    zero-round ``Yield`` bit-identical to ``ImportanceSampling``.
+    degenerates to a fixed mean shift and delegates its weight
+    computation to :func:`repro.stats.importance.importance_weights`,
+    the pinned density-ratio formula.
     """
 
     names: Tuple[str, ...]
@@ -138,10 +145,10 @@ class GaussianMixtureShift:
     ) -> Dict[str, np.ndarray]:
         """Per-sample mean offsets (natural units) for one block's draw.
 
-        ``K == 1`` consumes **no** randomness (constant offsets, exactly
-        :func:`repro.stats.importance.importance_trial`'s construction);
-        ``K > 1`` draws one component index per sample first, then the
-        device draw follows on the same stream.
+        ``K == 1`` consumes **no** randomness (constant offsets: the
+        fixed mean shift, so the device draw is the shard stream's first
+        use); ``K > 1`` draws one component index per sample first, then
+        the device draw follows on the same stream.
         """
         if self.n_components == 1:
             return {
@@ -167,8 +174,8 @@ class GaussianMixtureShift:
 
         ``f`` is the unshifted Gaussian, ``g`` the mixture; only the
         adapted parameters contribute (the rest cancel).  ``K == 1``
-        delegates to :func:`repro.stats.importance.importance_weights`
-        so the fixed-shift special case is bit-identical.
+        delegates to :func:`repro.stats.importance.importance_weights`,
+        the fixed-shift density ratio.
         """
         if self.n_components == 1:
             return importance_weights(

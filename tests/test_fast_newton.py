@@ -52,6 +52,17 @@ def _fresh_process_cache():
     tasks_mod._PROCESS_PLAN_CACHE = None
 
 
+class _FiniteDifferenceVSDevice(VSDevice):
+    """VS device without its gradient hooks: the finite-difference oracle.
+
+    Hook-less models fall back to stacked forward differences, so
+    clearing the hooks reaches that path on the VS model itself.
+    """
+
+    _ids_grad_normalized = None
+    _charges_grad_normalized = None
+
+
 # ----------------------------------------------------------------------
 # Analytic derivatives vs central differences (per model card).
 # ----------------------------------------------------------------------
@@ -108,9 +119,9 @@ class TestAnalyticDerivatives:
         _assert_grad_close(BSIMDevice(card), vg, vd, vs)
 
     def test_fd_mode_values_bitwise_derivatives_close(self):
-        """``derivatives="fd"`` stays available and shares the value path."""
+        """The finite-difference fallback shares the value path."""
         analytic = VSDevice(vs_nmos_40nm(300.0, 40.0))
-        fd = VSDevice(vs_nmos_40nm(300.0, 40.0), derivatives="fd")
+        fd = _FiniteDifferenceVSDevice(vs_nmos_40nm(300.0, 40.0))
         bias = (0.7, 0.5, 0.05)
         ia, gma, gdsa, gmsa = analytic.ids_and_derivatives(*bias)
         i2, gmf, gdsf, gmsf = fd.ids_and_derivatives(*bias)

@@ -1,22 +1,45 @@
-"""Importance sampling: unbiasedness and variance reduction."""
+"""Importance sampling: unbiasedness and variance reduction.
+
+Estimates run the way every caller runs them, through
+``Session.run(ImportanceSampling(...))`` — the zero-round yield engine —
+on a session whose NMOS statistical model is the paper's 40-nm card.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from repro.api import Execution, ImportanceSampling, Session
 from repro.data.cards import paper_alphas_nmos, vs_nmos_40nm
 from repro.devices.vs.model import VSDevice
 from repro.devices.vs.statistical import StatisticalVSModel
 from repro.fitting.targets import idsat
-from repro.stats.importance import (
-    estimate_failure_probability,
-    importance_weights,
-)
+from repro.stats.importance import FailureEstimate, importance_weights
 
 
 @pytest.fixture()
 def model():
     return StatisticalVSModel(vs_nmos_40nm(), paper_alphas_nmos())
+
+
+@pytest.fixture()
+def session(model) -> Session:
+    """A session drawing NMOS devices from *model* (no characterization)."""
+    return Session(technology={"nmos": SimpleNamespace(statistical=model)})
+
+
+def _vt0(params):
+    return np.asarray(params.vt0)
+
+
+def _estimate(session, **fields) -> FailureEstimate:
+    """``P(metric < / > threshold)`` at W/L = 600/40 nm through the session."""
+    spec = ImportanceSampling(w_nm=600.0, l_nm=40.0, **fields)
+    estimate = session.run(spec).payload
+    assert isinstance(estimate, FailureEstimate)
+    return estimate
 
 
 class TestWeights:
@@ -37,23 +60,21 @@ class TestWeights:
 
 
 class TestRelativeError:
-    def test_zero_failures_returns_inf(self, model, rng):
+    def test_zero_failures_returns_inf(self, model, session):
         # Unreachable threshold: zero failures observed.  The estimate
         # must report relative_error == inf (not NaN, not raise) so
         # adaptive stop rules can compare it against a tolerance.
         threshold = float(np.asarray(model.nominal.vt0)) - 1.0
-        estimate = estimate_failure_probability(
-            model,
+        estimate = _estimate(
+            session,
             metric=lambda params: np.asarray(params.vt0),
             threshold=threshold,
             shifts={"vt0": 2.0},
             n_samples=500,
-            rng=rng,
-            w_nm=600.0,
-            l_nm=40.0,
             fail_below=True,
         )
         assert estimate.probability == 0.0
+        assert estimate.n_failures == 0
         assert estimate.relative_error == np.inf
 
     def test_degenerate_estimates_never_return_nan(self):
@@ -99,7 +120,7 @@ class TestRelativeError:
                                  n_samples=1000, effective_samples=400.0)
         assert legacy.relative_error == pytest.approx(0.1)
 
-    def test_single_sample_run_is_warning_free(self, model, rng):
+    def test_single_sample_run_is_warning_free(self, model, session):
         # A 1-sample run must not emit the numpy ddof RuntimeWarning nor
         # produce NaN: std_error is an explicit inf by policy.
         import warnings
@@ -107,16 +128,14 @@ class TestRelativeError:
         threshold = float(np.asarray(model.nominal.vt0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimate = estimate_failure_probability(
-                model,
+            estimate = _estimate(
+                session,
                 metric=lambda params: np.asarray(params.vt0),
                 threshold=threshold,
                 shifts={"vt0": 1.0},
                 n_samples=1,
-                rng=rng,
-                w_nm=600.0,
-                l_nm=40.0,
             )
+        assert estimate.n_samples == 1
         assert estimate.std_error == np.inf
         assert estimate.relative_error == np.inf
         assert not np.isnan(estimate.probability)
@@ -137,49 +156,43 @@ class TestRelativeError:
 
 
 class TestAnalyticRecovery:
-    def test_gaussian_tail_probability(self, model, rng):
+    def test_gaussian_tail_probability(self, model, session):
         # Failure = sampled VT0 deviation beyond +4 sigma.  Analytic
         # P = Phi(-4) ~ 3.17e-5; plain MC at n=4000 would see ~0 events.
         sigma_vt = model.sigmas(600.0, 40.0)["vt0"]
         nominal_vt = float(np.asarray(model.nominal.vt0))
         threshold = nominal_vt + 4.0 * sigma_vt
 
-        estimate = estimate_failure_probability(
-            model,
+        estimate = _estimate(
+            session,
             metric=lambda params: np.asarray(params.vt0),
             threshold=threshold,
             shifts={"vt0": 4.0},
             n_samples=4000,
-            rng=rng,
-            w_nm=600.0,
-            l_nm=40.0,
             fail_below=False,
         )
         analytic = float(sps.norm.sf(4.0))
         assert estimate.probability == pytest.approx(analytic, rel=0.15)
         assert estimate.relative_error < 0.1
 
-    def test_unbiased_at_moderate_threshold(self, model, rng):
+    def test_unbiased_at_moderate_threshold(self, model, session):
         # 2-sigma threshold: compare IS against plain MC.
         sigma_vt = model.sigmas(600.0, 40.0)["vt0"]
         nominal_vt = float(np.asarray(model.nominal.vt0))
         threshold = nominal_vt + 2.0 * sigma_vt
 
-        est = estimate_failure_probability(
-            model,
+        est = _estimate(
+            session,
             metric=lambda params: np.asarray(params.vt0),
             threshold=threshold,
             shifts={"vt0": 2.0},
             n_samples=6000,
-            rng=rng,
-            w_nm=600.0,
-            l_nm=40.0,
             fail_below=False,
         )
         assert est.probability == pytest.approx(float(sps.norm.sf(2.0)),
                                                 rel=0.1)
 
-    def test_variance_reduction_vs_plain_mc(self, model):
+    def test_variance_reduction_vs_plain_mc(self, model, session):
         # Same budget: the IS relative error at a 3.5-sigma event must be
         # far below plain MC's (which is ~1/sqrt(n*p)).
         sigma_vt = model.sigmas(600.0, 40.0)["vt0"]
@@ -187,14 +200,12 @@ class TestAnalyticRecovery:
         threshold = nominal_vt + 3.5 * sigma_vt
         n = 3000
 
-        est = estimate_failure_probability(
-            model,
+        est = _estimate(
+            session,
             metric=lambda params: np.asarray(params.vt0),
             threshold=threshold,
             shifts={"vt0": 3.5},
             n_samples=n,
-            rng=np.random.default_rng(0),
-            w_nm=600.0, l_nm=40.0,
             fail_below=False,
         )
         p = float(sps.norm.sf(3.5))
@@ -203,7 +214,7 @@ class TestAnalyticRecovery:
 
 
 class TestDeviceMetric:
-    def test_low_ion_failure_probability(self, model, rng):
+    def test_low_ion_failure_probability(self, model, session):
         # Failure = on-current below (mean - ~3.9 sigma): needs high VT0,
         # low mobility.  The shift pushes both; validate against a brute
         # 2e6-sample plain MC reference (cheap at device level).
@@ -212,14 +223,12 @@ class TestDeviceMetric:
         threshold = 0.85 * ion_nominal
 
         metric = lambda params: np.asarray(idsat(VSDevice(params), 0.9))
-        est = estimate_failure_probability(
-            model,
+        est = _estimate(
+            session,
             metric=metric,
             threshold=threshold,
             shifts={"vt0": 3.0, "mu": -2.0},
             n_samples=8000,
-            rng=rng,
-            w_nm=600.0, l_nm=40.0,
             fail_below=True,
         )
         reference = model.sample_device(
@@ -232,14 +241,21 @@ class TestDeviceMetric:
         # IS reaches this accuracy with 250x fewer samples.
         assert est.n_samples * 250 <= 2_000_000
 
-    def test_validation(self, model, rng):
-        with pytest.raises(KeyError):
-            estimate_failure_probability(
-                model, lambda p: np.asarray(p.vt0), 0.5,
-                {"bogus": 1.0}, 100, rng,
-            )
-        with pytest.raises(ValueError):
-            estimate_failure_probability(
-                model, lambda p: np.asarray(p.vt0), 0.5,
-                {"vt0": 1.0}, 0, rng,
-            )
+    def test_validation(self, session):
+        # Unknown parameter names and empty budgets are rejected when
+        # the spec is built, before anything is sampled.
+        with pytest.raises(ValueError, match="unknown statistical parameters"):
+            ImportanceSampling(metric=_vt0, threshold=0.5,
+                               shifts={"bogus": 1.0})
+        with pytest.raises(ValueError, match="n_samples"):
+            ImportanceSampling(metric=_vt0, threshold=0.5,
+                               shifts={"vt0": 1.0}, n_samples=0)
+        with pytest.raises(ValueError, match="at least one parameter"):
+            ImportanceSampling(metric=_vt0, threshold=0.5, shifts={})
+        # A valid spec runs, on the session's automatic shard size.
+        result = session.run(ImportanceSampling(
+            metric=_vt0, threshold=0.5, shifts={"vt0": 1.0}, n_samples=100,
+            execution=Execution(),
+        ))
+        assert result.payload.n_samples == 100
+        assert result.runtime.shard_size == 100

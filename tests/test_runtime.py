@@ -10,6 +10,8 @@ resume, and the executor degradation path for unpicklable tasks.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,9 @@ from repro.runtime import (
     run_sharded,
     shard_rng,
 )
+from repro.api.serialize import dumps
+from repro.obs import default_registry
+from repro.service.store import scrub_envelope
 from repro.ssta import GaussianDelay, TimingGraph, monte_carlo_arrival
 
 RTOL = 1e-9
@@ -755,6 +760,39 @@ class TestCheckpoint:
                 execution=Execution(shard_size=100, wave_size=1,
                                     checkpoint=prefix),
             ))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage",
+                                        "wrong_magic"])
+    def test_unreadable_checkpoint_is_a_clean_counted_restart(
+            self, session, tmp_path, damage):
+        # A torn write, disk garbage or a foreign pickle must not wedge
+        # every rerun of the spec: the file is discarded (logged and
+        # counted) and the run restarts from zero, which reproduces the
+        # uninterrupted envelope because every shard stream is
+        # deterministic.
+        spec = MonteCarlo(
+            n_samples=400, w_nm=600.0, seed_offset=4,
+            execution=Execution(shard_size=100, wave_size=1,
+                                checkpoint=str(tmp_path / "mc.ckpt")),
+        )
+        uninterrupted = session.run(spec)
+        (path,) = tmp_path.glob("mc.ckpt.*.ckpt")
+        blob = path.read_bytes()
+        path.write_bytes({
+            "truncated": blob[:len(blob) // 2],
+            "garbage": b"\x80\x05not a checkpoint" * 16,
+            "wrong_magic": pickle.dumps({"magic": "other", "checkpoint": 1}),
+        }[damage])
+        corrupt = default_registry().counter("repro_checkpoint_corrupt_total")
+        before = corrupt.value
+
+        rerun = session.run(spec)
+        assert corrupt.value == before + 1
+        assert rerun.runtime.resumed_shards == 0
+        assert dumps(scrub_envelope(rerun)) == dumps(
+            scrub_envelope(uninterrupted))
+        # The restarted run left a sound checkpoint behind.
+        assert load_checkpoint(str(path)).shards_done == 4
 
     def test_checkpointing_refuses_unpicklable_tasks(self, session,
                                                      technology, tmp_path):

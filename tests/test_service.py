@@ -617,6 +617,34 @@ class TestHTTPService:
         code, body = post(json.dumps({"spec": encode(DCOp())}).encode())
         assert code == 400 and "circuit" in body["error"]["message"]
 
+    def test_unknown_importance_shift_is_a_400_at_submit(self, server):
+        # Shifts on a parameter the statistical model does not draw are
+        # rejected when the spec is built, so the daemon answers the
+        # POST with a structured 400 instead of accepting a job that
+        # can only fail at run time.
+        import urllib.error
+        import urllib.request
+
+        bad = encode(ImportanceSampling(
+            metric=ParameterMetric("vt0"), threshold=0.5,
+            shifts={"vt0": 1.0}, n_samples=100,
+        ))
+        bad["fields"]["shifts"] = {"__tuple__": [
+            {"__tuple__": ["bogus", 1.0]},
+        ]}
+        request = urllib.request.Request(
+            f"{server.url}/jobs", method="POST",
+            data=json.dumps({"spec": bad}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30)
+        body = json.loads(err.value.read())
+        assert err.value.code == 400
+        assert body["error"]["type"] == "BadRequest"
+        assert "unknown statistical parameters" in body["error"]["message"]
+        assert ServiceClient(server.url).jobs() == {"jobs": []}
+
     def test_unknown_routes_and_jobs(self, server):
         client = ServiceClient(server.url)
         with pytest.raises(ServiceError) as err:

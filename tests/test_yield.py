@@ -5,9 +5,10 @@ Covers the PR-6 contracts end to end:
 * statistical correctness — the 3-sigma estimate cross-validates against
   brute-force sharded Monte-Carlo within the combined confidence
   intervals at a >= 10x sims advantage;
-* the fixed-shift special case — ``Yield(n_rounds=0, n_components=1)``
-  is bit-identical to a sharded :class:`ImportanceSampling` run whose
-  ``shard_size`` equals the yield ``block_size``;
+* the fixed-shift special case — ``ImportanceSampling`` runs on the
+  yield engine, so ``Yield(n_rounds=0, n_components=1)`` equals it field
+  for field at ``block_size`` = its shard size (explicit or automatic,
+  with or without a stop rule);
 * the block seed contract — envelopes bit-identical at 1/2/8 workers,
   across ``Execution.shard_size`` values (which do not apply to
   ``Yield``), under ``Sweep`` composition, through checkpoint/resume
@@ -18,6 +19,7 @@ Covers the PR-6 contracts end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 
 import numpy as np
@@ -33,7 +35,7 @@ from repro.api import (
     YieldEstimate,
 )
 from repro.api.serialize import dumps, loads
-from repro.runtime import RunObserver
+from repro.runtime import RunObserver, auto_shard_size
 from repro.stats.yield_engine import (
     GaussianMixtureShift,
     ce_update,
@@ -121,6 +123,37 @@ class TestYieldCrossValidation:
         assert zero_rounds.n_failures == fixed.n_failures
         assert zero_rounds.rounds_run == 0
         assert zero_rounds.total_samples == fixed.n_samples
+
+    @pytest.mark.parametrize("execution", [
+        Execution(),
+        Execution(target_rel_err=0.1, wave_size=2),
+    ], ids=["auto_shard_size", "target_rel_err"])
+    def test_importance_sampling_is_the_zero_round_yield(
+            self, session, technology, execution):
+        # Without a shard size the importance sampler draws in blocks of
+        # auto_shard_size(n); the zero-round Yield at that block size is
+        # the same run, estimate and runtime metadata alike.
+        n = 10_000
+        fixed = session.run(ImportanceSampling(
+            metric=_vt0_metric, threshold=_threshold(technology),
+            shifts={"vt0": 3.0}, n_samples=n, w_nm=600.0, l_nm=40.0,
+            fail_below=False, execution=execution,
+        ))
+        zero_rounds = session.run(_yield_spec(
+            technology, n_samples=n, n_rounds=0,
+            block_size=auto_shard_size(n), execution=execution,
+        ))
+
+        assert fixed.runtime.shard_size == auto_shard_size(n) == 313
+        assert fixed.runtime.stopped_early == (
+            execution.target_rel_err is not None)
+        for field in dataclasses.fields(fixed.payload):
+            assert getattr(zero_rounds.payload, field.name) == getattr(
+                fixed.payload, field.name), field.name
+        assert zero_rounds.payload.total_samples == fixed.payload.n_samples
+        assert zero_rounds.runtime == fixed.runtime
+        assert zero_rounds.seed == fixed.seed
+        assert "yield" not in fixed.meta
 
 
 # ----------------------------------------------------------------------
