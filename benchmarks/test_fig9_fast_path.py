@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-import repro.runtime.tasks as tasks_mod
+import repro.circuit.plans as plans
 from repro.api import Execution, Session
 from repro.cells.sram import SRAMSpec
 from repro.data.cards import vs_nmos_40nm
@@ -44,7 +44,7 @@ class _FiniteDifferenceVSDevice(VSDevice):
 
 
 def _timed_map(session, work, execution):
-    tasks_mod._PROCESS_PLAN_CACHE = None
+    plans._PROCESS_PLAN_CACHE = None
     try:
         # Warm run (plan compiles, allocator) outside the timed window.
         session.map_mc(work, SHARD_SIZE, model="vs", seed_offset=71,
@@ -54,7 +54,7 @@ def _timed_map(session, work, execution):
                                    seed_offset=70, execution=execution)
         return np.asarray(values), time.perf_counter() - start
     finally:
-        tasks_mod._PROCESS_PLAN_CACHE = None
+        plans._PROCESS_PLAN_CACHE = None
 
 
 def _timed_per_shard(session, work):
@@ -66,14 +66,14 @@ def _timed_per_shard(session, work):
                            session.seeds.seed(seed_offset))
         return np.concatenate([task(shard) for shard in plan])
 
-    tasks_mod._PROCESS_PLAN_CACHE = None
+    plans._PROCESS_PLAN_CACHE = None
     try:
         run(SHARD_SIZE, 71)
         start = time.perf_counter()
         values = run(N_SAMPLES, 70)
         return values, time.perf_counter() - start
     finally:
-        tasks_mod._PROCESS_PLAN_CACHE = None
+        plans._PROCESS_PLAN_CACHE = None
 
 
 def _device_eval_rate(device_cls: type, repeats: int = 40) -> float:

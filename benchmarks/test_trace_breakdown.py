@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-import repro.runtime.tasks as tasks_mod
+import repro.circuit.plans as plans
 from repro.api import Execution, Session
 from repro.cells.sram import SRAMSpec
 from repro.experiments.fig9_sram_snm import SNMWork
@@ -61,7 +61,7 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
     }
     # A cold process plan cache: its stats then cover exactly the
     # serial runs of this benchmark.
-    tasks_mod._PROCESS_PLAN_CACHE = None
+    plans._PROCESS_PLAN_CACHE = None
     try:
         # Warm outside the timed window (worker spawn, plan caches).
         for execution in modes.values():
@@ -74,10 +74,10 @@ def test_trace_breakdown_sharded_overhead(results_dir, record_report):
         for mode, execution in modes.items():
             outputs[mode], seconds[mode], spans[mode] = _traced_map(
                 session, tracer, work, execution)
-        plan_stats = tasks_mod._process_plan_cache().stats()
+        plan_stats = plans.process_plan_cache().stats()
     finally:
         session.close()
-        tasks_mod._PROCESS_PLAN_CACHE = None
+        plans._PROCESS_PLAN_CACHE = None
 
     # Tracing is observation only: the traced sharded outputs still obey
     # the shard/seed contract.

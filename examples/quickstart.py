@@ -5,7 +5,7 @@ public declarative API (`repro.api`):
 
 1. open a :class:`Session` — it owns the characterized 40-nm technology
    (fit the nominal VS model to the golden kit, extract the Pelgrom
-   alphas by BPV), a seed tree, and the compiled plan cache;
+   alphas by BPV) and a seed tree;
 2. inspect the extracted statistical coefficients (paper Table II);
 3. Monte-Carlo a single device under both models with a declarative
    :class:`MonteCarlo` spec (paper Table III) — note the uniform
@@ -25,7 +25,7 @@ from repro.codegen import generate_veriloga
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. One session = technology + seeds + plan cache.
+    # 1. One session = technology + seeds.
     # ------------------------------------------------------------------
     session = Session(seed=1)
     tech = session.technology
@@ -62,8 +62,7 @@ def main() -> None:
           f"VS {vs.payload.sigma('log10_ioff'):.3f}\n")
 
     # ------------------------------------------------------------------
-    # 4. Circuit-level: a 200-sample INV FO3 delay distribution.  The
-    #    session factory carries the plan cache into the cell.
+    # 4. Circuit-level: a 200-sample INV FO3 delay distribution.
     # ------------------------------------------------------------------
     # Offset 6 on root seed 1 replays the pre-API default_rng(7) stream.
     factory = session.mc_factory(200, model="vs", seed_offset=6)

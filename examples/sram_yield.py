@@ -6,7 +6,7 @@ designer wants the failure probability (SNM below a noise budget) as a
 function of supply voltage.  The ultra-compact statistical VS model makes
 the required thousands of butterfly extractions cheap.
 
-All Monte-Carlo plumbing (technology, seeding, plan cache) comes from
+All Monte-Carlo plumbing (technology, seeding, executors) comes from
 one `repro.api.Session`; the per-supply seed offsets make every row
 independently reproducible.
 

@@ -58,8 +58,7 @@ def main() -> None:
     corners = generate_corners(tech.nmos.statistical, tech.pmos.statistical,
                                k_sigma=3.0)
     ss_delay = float(
-        inverter_delays(session.equip(_CornerFactory(corners["SS"])),
-                        SPEC, vdd)["tphl"].delay
+        inverter_delays(_CornerFactory(corners["SS"]), SPEC, vdd)["tphl"].delay
     )
     tt_delay = float(
         inverter_delays(session.nominal_factory("vs"), SPEC, vdd)["tphl"].delay

@@ -269,6 +269,18 @@ def cluster_main() -> int:
                 proc.kill()
             proc.wait(timeout=30)
         if daemon.poll() is None:
+            # Ctrl-C must stop serve --cluster promptly: the coordinator's
+            # accept thread may not hold shutdown up.
+            daemon.send_signal(signal.SIGINT)
+            start = time.monotonic()
+            try:
+                daemon.wait(timeout=3.0)
+            except subprocess.TimeoutExpired:
+                pass
+            check("daemon exits within 3 s of SIGINT",
+                  daemon.poll() is not None,
+                  f"{time.monotonic() - start:.2f} s")
+        if daemon.poll() is None:
             daemon.terminate()
             try:
                 daemon.wait(timeout=30)

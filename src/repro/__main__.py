@@ -22,8 +22,7 @@ Usage::
 
 Every experiment is a declarative entry in the :mod:`repro.api`
 registry and executes through one :class:`repro.api.Session`, which
-owns the technology, the seed tree, the executor and the compiled
-plan cache.  Default output is the experiment's human-readable report;
+owns the technology, the seed tree and the executor.  Default output is the experiment's human-readable report;
 ``--json`` dumps the uniform ``Result`` envelope instead.
 """
 

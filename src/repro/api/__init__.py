@@ -15,7 +15,6 @@ the spec vocabulary, and :mod:`repro.api.registry` for the
 
 from repro.api.fingerprint import canonical_document, fingerprint, strip_execution
 from repro.api.futures import Progress, RunCancelled, RunHandle, RunSnapshot
-from repro.api.plans import PlanCache
 from repro.api.registry import (
     REGISTRY,
     ExperimentDef,
@@ -43,6 +42,7 @@ from repro.api.specs import (
     Transient,
     Yield,
 )
+from repro.circuit.plans import PlanCache
 from repro.stats.yield_engine import YieldEstimate
 
 __all__ = [

@@ -7,13 +7,14 @@ and experiment used to re-implement by hand:
 * a **seed tree** (`SeedSequence`-based) that hands out every random
   stream — statistical specs draw shard *i* of a run from
   ``SeedSequence(base_seed, spawn_key=(i,))``;
-* the **plan cache** of compiled assemblies, injected into every
-  circuit built through the session's device factories;
 * the **executor** that shards statistical workloads.
 
 Circuit solves always use the compiled device-stacked assembly when the
 netlist can be planned and the per-element MNA path when it cannot;
-circuit envelopes record which one ran (``Result.backend``).
+circuit envelopes record which one ran (``Result.backend``).  Compiled
+plans live in the process-wide :class:`~repro.circuit.plans.PlanCache`,
+shared by every session; envelopes report its ``stats()`` under
+``meta["plan_cache"]``.
 
 Analyses are described by frozen :mod:`repro.api.specs` dataclasses and
 executed with :meth:`Session.run` (blocking) or :meth:`Session.submit`
@@ -34,7 +35,6 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.plans import PlanCache
 from repro.api.registry import ExperimentDef, get as registry_get
 from repro.api.result import Result
 from repro.api.seeding import EXPERIMENT_SEED, SeedScope, SeedTree
@@ -54,6 +54,7 @@ from repro.api.specs import (
     Transient,
     Yield,
 )
+from repro.circuit.plans import process_plan_cache
 
 __all__ = ["Session", "default_session"]
 
@@ -78,7 +79,7 @@ def _executor_key(instance):
 
 
 class Session:
-    """Facade over the technology, seeding, plan cache, and executors.
+    """Facade over the technology, seeding and executors.
 
     Parameters
     ----------
@@ -120,7 +121,6 @@ class Session:
         self,
         technology=None,
         seed: int = EXPERIMENT_SEED,
-        plan_cache: Optional[PlanCache] = None,
         executor=None,
         shard_size: Optional[int] = None,
         tracer=None,
@@ -130,7 +130,6 @@ class Session:
             raise ValueError("shard_size must be positive")
         self._technology = technology
         self.seeds = SeedTree(seed)
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         #: Guards the executor cache — submit() handles run analyses on
         #: background threads that share this session's pools.
         self._lock = threading.RLock()
@@ -318,53 +317,22 @@ class Session:
         seed_offset: int = 0,
         interdie_sigma=None,
     ):
-        """Monte-Carlo device factory drawing from the session seed tree.
-
-        Circuits built by cell builders from this factory inherit the
-        session's plan cache.
-        """
+        """Monte-Carlo device factory drawing from the session seed tree."""
         from repro.cells.factory import MonteCarloDeviceFactory
 
-        factory = MonteCarloDeviceFactory(
+        return MonteCarloDeviceFactory(
             self.technology,
             n_samples,
             rng=self.rng(seed_offset),
             model=model,
             interdie_sigma=interdie_sigma,
         )
-        return self._equip(factory)
 
     def nominal_factory(self, model: str = "vs"):
         """Nominal (variation-free) device factory."""
         from repro.cells.factory import NominalDeviceFactory
 
-        return self._equip(NominalDeviceFactory(self.technology, model))
-
-    def equip(self, factory):
-        """Adopt a locally constructed factory into this session.
-
-        Attaches the session's plan cache, so circuits built from custom
-        :class:`DeviceFactory` subclasses (corner factories, replay
-        factories...) share compiled plans exactly like factories born
-        from :meth:`mc_factory`.
-        """
-        return self._equip(factory)
-
-    def _equip(self, factory):
-        factory.plan_cache = self.plan_cache
-        return factory
-
-    # ------------------------------------------------------------------
-    # Circuit configuration.
-    # ------------------------------------------------------------------
-    def configure(self, circuit):
-        """Attach the session plan cache to *circuit*.
-
-        Called automatically for circuits built through session
-        factories; call it directly for hand-built netlists.
-        """
-        circuit.plan_cache = self.plan_cache
-        return circuit
+        return NominalDeviceFactory(self.technology, model)
 
     # ------------------------------------------------------------------
     # Analysis execution.
@@ -493,7 +461,6 @@ class Session:
         from repro.circuit.dcsweep import dc_sweep
         from repro.circuit.transient import transient
 
-        self.configure(circuit)
         hints = spec.hints_dict()
         v0 = initial_guess(circuit, hints) if hints else None
 
@@ -526,7 +493,7 @@ class Session:
         # Snapshot cache accounting first (so it reflects only the
         # solve), then resolve which assembly path executed — probed
         # after the run so the first compile is inside the timed window.
-        meta = {"plan_cache": self.plan_cache.stats()}
+        meta = {"plan_cache": process_plan_cache().stats()}
         backend = "compiled" if circuit.compiled() is not None else "generic"
 
         if isinstance(spec, AC):
@@ -807,7 +774,7 @@ class Session:
 
         The experiment's declared quick/full preset supplies the keyword
         arguments; *overrides* are applied on top.  The experiment
-        receives this session (seeding, factories, plan cache)
+        receives this session (seeding, factories, executors)
         and its result dataclass becomes the envelope payload.
         """
         defn = (
@@ -846,7 +813,7 @@ class Session:
             n_samples=kwargs.get("n_samples"),
             wall_time_s=elapsed,
             experiment=defn.name,
-            meta={"quick": quick, "plan_cache": self.plan_cache.stats()},
+            meta={"quick": quick, "plan_cache": process_plan_cache().stats()},
         )
 
 

@@ -10,8 +10,8 @@ cartesian grid; this module is the orchestration behind
 
 * :class:`SweepPointTask` is the picklable shard task: a shard covers a
   contiguous flat range of grid points, each evaluated through a
-  worker-local :class:`~repro.api.session.Session` (process plan cache,
-  same root seed as the parent).  Because every point
+  worker-local :class:`~repro.api.session.Session` (same root seed as
+  the parent).  Because every point
   owns its stream, sweep output is **bit-identical at every worker
   count and every sweep shard size** — shard size is scheduling
   granularity only, like the PR-4 characterization grid.
@@ -122,13 +122,8 @@ class SweepPointTask:
 
     def _session(self):
         from repro.api.session import Session
-        from repro.runtime.tasks import _process_plan_cache
 
-        return Session(
-            technology=self.technology,
-            seed=self.root_seed,
-            plan_cache=_process_plan_cache(),
-        )
+        return Session(technology=self.technology, seed=self.root_seed)
 
     def measure_index(self, index: int, session=None):
         """Evaluate flat grid point *index* (any process, any order)."""

@@ -90,7 +90,6 @@ def build_dff(
         "x": 0.0, "y": vdd, "z": 0.0,
         "u": vdd, "q": 0.0, "v": vdd,
     }
-    factory.configure_circuit(circuit)
     return circuit, hints
 
 

@@ -37,21 +37,6 @@ class DeviceFactory(abc.ABC):
     #: Batch shape the produced devices carry (``()`` for nominal).
     batch_shape: tuple = ()
 
-    #: Session-owned plan cache to attach to circuits built from this
-    #: factory (None -> circuits keep their private compile cache).
-    plan_cache = None
-
-    def configure_circuit(self, circuit):
-        """Propagate the session's plan cache onto *circuit*.
-
-        Cell builders call this on every netlist they assemble, so a
-        factory handed out by a :class:`repro.api.Session` carries the
-        session's plan cache into every solve.
-        """
-        if self.plan_cache is not None:
-            circuit.plan_cache = self.plan_cache
-        return circuit
-
 
 class NominalDeviceFactory(DeviceFactory):
     """Nominal (variation-free) devices from a characterized technology."""
@@ -144,20 +129,17 @@ class MonteCarloDeviceFactory(DeviceFactory):
         an identical device-request order re-draws the *identical*
         sampled devices — how the Fig. 6 leakage measurement reuses the
         delay run's dice inside one sharded work callable, where the
-        seed that built the factory is not in scope.  Session policy
-        (the plan cache) carries over.
+        seed that built the factory is not in scope.
         """
         rng = np.random.Generator(type(self.rng.bit_generator)())
         rng.bit_generator.state = self._initial_rng_state
-        twin = MonteCarloDeviceFactory(
+        return MonteCarloDeviceFactory(
             self.technology,
             self.n_samples,
             rng=rng,
             model=self.model,
             interdie_sigma=self._interdie_sigma,
         )
-        twin.plan_cache = self.plan_cache
-        return twin
 
 
 def _concat_card_values(values, counts, name: str):
@@ -229,9 +211,7 @@ class CoalescedFactory(DeviceFactory):
 
     def replay(self) -> "CoalescedFactory":
         """A fresh coalesced factory replaying every member's stream."""
-        twin = CoalescedFactory([m.replay() for m in self.members])
-        twin.plan_cache = self.plan_cache
-        return twin
+        return CoalescedFactory([m.replay() for m in self.members])
 
 
 class RecordingFactory(DeviceFactory):
@@ -246,17 +226,6 @@ class RecordingFactory(DeviceFactory):
         self.inner = inner
         self.batch_shape = inner.batch_shape
         self.devices: List[DeviceModel] = []
-
-    # Session policy delegates to the wrapped factory (live, both ways),
-    # so equipping either the recorder or the inner factory works and a
-    # later (re-)equip is never stale.
-    @property
-    def plan_cache(self):
-        return self.inner.plan_cache
-
-    @plan_cache.setter
-    def plan_cache(self, value):
-        self.inner.plan_cache = value
 
     def __call__(self, polarity: str, w_nm: float, l_nm: float) -> DeviceModel:
         device = self.inner(polarity, w_nm, l_nm)
@@ -287,16 +256,6 @@ class CriticalDeviceFactory(DeviceFactory):
         self.call_index = int(call_index)
         self.calls = 0
         self.batch_shape = tuple(critical.params.batch_shape)
-
-    # Session policy delegates to the inner factory (live, both ways) —
-    # same rationale as RecordingFactory.
-    @property
-    def plan_cache(self):
-        return self.inner.plan_cache
-
-    @plan_cache.setter
-    def plan_cache(self, value):
-        self.inner.plan_cache = value
 
     def __call__(self, polarity: str, w_nm: float, l_nm: float) -> DeviceModel:
         index = self.calls

@@ -96,7 +96,6 @@ def build_inverter_fo(
         hints[load_rail] = vdd
     for k in range(spec.fanout):
         hints[f"load{k}"] = 0.0
-    factory.configure_circuit(circuit)
     return circuit, hints
 
 

@@ -74,7 +74,6 @@ def build_nand2_fo(
     hints = {"vdd": vdd, "out": vdd, "mid": 0.0}
     for k in range(spec.fanout):
         hints[f"load{k}"] = 0.0
-    factory.configure_circuit(circuit)
     return circuit, hints
 
 

@@ -71,7 +71,6 @@ def build_ring(
     for k in range(n):
         hints[f"n{k}"] = level
         level = vdd - level
-    factory.configure_circuit(circuit)
     return circuit, hints
 
 

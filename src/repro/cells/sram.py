@@ -104,9 +104,7 @@ def butterfly_curves(
 
     responses = []
     for forced, observed in (("ql", "qr"), ("qr", "ql")):
-        circuit = factory.configure_circuit(
-            _build_half_forced(devices, vdd, mode, forced)
-        )
+        circuit = _build_half_forced(devices, vdd, mode, forced)
         # Start from the state consistent with the forced node at 0 V:
         # the observed node then sits high.
         hints = {"vdd": vdd, observed: vdd, forced: 0.0}

@@ -178,7 +178,6 @@ class Nand2Arcs(ArcAdapter):
         circuit.add_mosfet(factory("nmos", spec.wn_nm, spec.l_nm),
                            d="mid", g="b", s=GROUND, name="MNB")
         circuit.add_capacitor("out", GROUND, c_load, name="CL")
-        factory.configure_circuit(circuit)
         hints = {"vdd": vdd, "out": vdd, "mid": 0.0}
 
         dt = max(min(slew_in / 25.0, 1e-12 * stretch), 0.2e-12)

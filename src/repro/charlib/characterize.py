@@ -64,7 +64,6 @@ def build_loaded_inverter(
     circuit.add_vsource("in", GROUND, input_waveform, name="VIN")
     _add_inverter(circuit, factory, spec, "in", "out", "drv")
     circuit.add_capacitor("out", GROUND, c_load, name="CL")
-    factory.configure_circuit(circuit)
     return circuit, {"vdd": vdd, "out": vdd}
 
 

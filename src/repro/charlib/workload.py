@@ -132,19 +132,15 @@ class CharGridTask:
             MonteCarloDeviceFactory,
             NominalDeviceFactory,
         )
-        from repro.runtime.tasks import _process_plan_cache
 
         if self.n_mc:
-            factory = MonteCarloDeviceFactory(
+            return MonteCarloDeviceFactory(
                 self.technology, self.n_mc,
                 rng=shard_rng(self.base_seed, point_index,
                               self.spawn_prefix),
                 model=self.model,
             )
-        else:
-            factory = NominalDeviceFactory(self.technology, self.model)
-        factory.plan_cache = _process_plan_cache()
-        return factory
+        return NominalDeviceFactory(self.technology, self.model)
 
     def measure_index(self, point_index: int) -> GridPointResult:
         """Evaluate flat grid point *point_index* (any process, any order)."""

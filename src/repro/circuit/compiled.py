@@ -310,7 +310,7 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
     bookkeeping and scatter programs — only parameter *values* (and
     batch shapes) differ, and those bind per circuit.  Covers node
     indices, element types and order, and each MOSFET's model
-    class/polarity/temperature/derivative mode.  Deliberately excludes
+    class/polarity/temperature.  Deliberately excludes
     parameter values, parameter identities and batch shapes, so the
     fresh per-shard circuits a Monte-Carlo factory builds all map to one
     key.
@@ -380,8 +380,8 @@ class PlanStructure:
                     f"unsupported element {type(element).__name__}"
                 )
 
-        # Stacked device groups, keyed by (class, polarity, temperature,
-        # derivative mode) in first-appearance order.
+        # Stacked device groups, keyed by (class, polarity, temperature)
+        # in first-appearance order.
         grouped: "dict[tuple, List[int]]" = {}
         for slot in mosfet_slots:
             key = _mosfet_signature(circuit.elements[slot].model)
@@ -408,11 +408,11 @@ class CompiledCircuit:
 
     Compilation snapshots element parameters (device cards, resistances,
     capacitances); only *waveform* levels may change between solves.
-    :meth:`Circuit.add` invalidates the owner's cached compilation.
+    :meth:`Circuit.add` makes the owner's cached plan stale.
     Pass a pre-built *structure* (from a circuit with an equal
     :func:`structural_fingerprint`) to skip the index bookkeeping — the
     structural-cache fast path of
-    :class:`repro.api.plans.PlanCache`.
+    :class:`repro.circuit.plans.PlanCache`.
     """
 
     def __init__(self, circuit, structure: Optional[PlanStructure] = None):

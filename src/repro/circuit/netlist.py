@@ -17,25 +17,11 @@ from typing import Dict, List
 import numpy as np
 
 from repro.circuit import elements as _el
+from repro.circuit.plans import process_plan_cache
 from repro.circuit.waveforms import Waveform, DC
 
 #: Name of the ground (reference) node.
 GROUND = "gnd"
-
-
-def fingerprint_matches(cached_objects, cached_shapes, objects, shapes) -> bool:
-    """Whether a cached compile fingerprint still describes a circuit.
-
-    The single staleness predicate shared by the private per-circuit
-    cache and the session-owned :class:`repro.api.plans.PlanCache`:
-    per-element batch shapes equal AND the parameter-object identity
-    list unchanged.
-    """
-    return (
-        cached_shapes == shapes
-        and len(cached_objects) == len(objects)
-        and all(a is b for a, b in zip(cached_objects, objects))
-    )
 
 
 class Circuit:
@@ -46,10 +32,6 @@ class Circuit:
         self._node_index: Dict[str, int] = {}
         self.elements: List[_el.Element] = []
         self._names: Dict[str, _el.Element] = {}
-        self._compiled = None
-        #: Externally owned plan cache (duck-typed ``plan_for(circuit)``),
-        #: e.g. :class:`repro.api.plans.PlanCache`; None -> private cache.
-        self.plan_cache = None
 
     # ------------------------------------------------------------------
     # Node management.
@@ -88,7 +70,6 @@ class Circuit:
                 raise ValueError(f"duplicate element name {element.name!r}")
             self._names[element.name] = element
         self.elements.append(element)
-        self._compiled = None
         return element
 
     def __getitem__(self, name: str) -> "_el.Element":
@@ -179,30 +160,17 @@ class Circuit:
         return parts, shapes
 
     def compiled(self):
-        """Cached vectorized assembly plan (None for unsupported netlists,
-        which the solvers then assemble per element).
+        """Vectorized assembly plan (None for unsupported netlists, which
+        the solvers then assemble per element).
 
-        Compilation snapshots element parameters; registering a new
-        element or rebinding an element's parameters invalidates the
-        cache.  Waveform levels/delays may change freely between solves
-        — they are re-read at every time point.  When a session-owned
-        :attr:`plan_cache` is attached, plans live there instead of in
-        the private per-circuit slot.
+        Plans live in the process-wide
+        :class:`~repro.circuit.plans.PlanCache`.  Compilation snapshots
+        element parameters; registering a new element or rebinding an
+        element's parameters recompiles.  Waveform levels/delays may
+        change freely between solves — they are re-read at every time
+        point.
         """
-        if self.plan_cache is not None:
-            # Plans now live in the shared cache: drop any plan the
-            # private slot compiled earlier so it is not pinned (and
-            # duplicated) for the circuit's remaining lifetime.
-            self._compiled = None
-            return self.plan_cache.plan_for(self)
-        objects, shapes = self._param_fingerprint()
-        if self._compiled is None or not fingerprint_matches(
-            self._compiled[1], self._compiled[2], objects, shapes
-        ):
-            from repro.circuit.compiled import compile_circuit
-
-            self._compiled = (compile_circuit(self), objects, shapes)
-        return self._compiled[0]
+        return process_plan_cache().plan_for(self)
 
     def vsources(self) -> List["_el.VoltageSource"]:
         """All voltage sources in netlist order."""

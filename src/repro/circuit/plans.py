@@ -1,33 +1,35 @@
-"""Session-owned cache of compiled assembly plans.
+"""The process-wide cache of compiled assembly plans.
 
-PR 1 gave every :class:`~repro.circuit.netlist.Circuit` a private cached
-``CompiledCircuit`` keyed by its parameter fingerprint.  The cache now
-has a central owner: a :class:`PlanCache` attached by the
-:class:`~repro.api.session.Session` to every circuit its factories
-build.  Plans are still keyed by the PR-1 fingerprint
+Every :class:`~repro.circuit.netlist.Circuit` reaches its
+:class:`~repro.circuit.compiled.CompiledCircuit` through one
+:class:`PlanCache` per process (:func:`process_plan_cache`):
+``Circuit.compiled()`` is ``process_plan_cache().plan_for(circuit)``.
+Sessions, shard tasks, service jobs and hand-built netlists all share
+it, so there is one place to read compile accounting from
+(:meth:`PlanCache.stats` and the ``repro_plan_cache_*`` metrics) and
+nothing to attach.  Pool and cluster worker processes each hold their
+own.
+
+The **id-keyed** level maps a live circuit to its plan.  An entry is
+valid while the circuit's parameter fingerprint
 (``Circuit._param_fingerprint``: parameter-object identities + element
-batch shapes), but live in one bounded LRU structure with hit/miss
-accounting — the handle later scaling work (sharding, cross-run reuse)
-needs.
+batch shapes) is unchanged; registering an element or rebinding a
+parameter recompiles.  Entries hold only a *weak* reference to their
+circuit and are dropped the moment the circuit is garbage-collected, so
+the cache never outlives the (potentially multi-megabyte,
+batched-parameter) plans of dead netlists.
 
-Entries hold only a *weak* reference to their circuit and are dropped
-the moment the circuit is garbage-collected, so the cache never
-outlives the (potentially multi-megabyte, batched-parameter) plans of
-dead netlists — matching the lifetime behaviour of the PR-1
-per-circuit cache while keeping central accounting.
-
-PR 9 adds a second, **structural** level underneath: when the id-keyed
-level misses (a fresh per-shard circuit, say), the circuit's
+The **structural** level sits underneath: when the id-keyed level
+misses (a fresh per-shard circuit, say), the circuit's
 :func:`~repro.circuit.compiled.structural_fingerprint` — topology +
 element types + model class/polarity/temperature, never parameter
 values — is looked up in a cache of value-free
 :class:`~repro.circuit.compiled.PlanStructure` objects.  A structural
-hit skips index bookkeeping entirely and only
-*binds* the circuit's values, which is what kills the per-shard
-recompile storm: a sharded run performs one structure compile per
-distinct circuit topology, not one per shard.  Structures are
-value-free and hold no circuit references, so the structural level
-needs no weakref ceremony — just a bounded LRU.
+hit skips index bookkeeping entirely and only *binds* the circuit's
+values, so a run performs one structure compile per distinct circuit
+topology, not one per shard or per block.  Structures are value-free
+and hold no circuit references, so the structural level needs no
+weakref ceremony — just a bounded LRU.
 """
 
 from __future__ import annotations
@@ -38,10 +40,16 @@ import weakref
 from collections import OrderedDict
 from typing import Optional
 
+from repro.circuit.compiled import (
+    PlanStructure,
+    UnsupportedCircuitError,
+    compile_circuit,
+    structural_fingerprint,
+)
 from repro.obs import default_registry
 from repro.obs.trace import span
 
-__all__ = ["PlanCache"]
+__all__ = ["PlanCache", "process_plan_cache"]
 
 _REGISTRY = default_registry()
 _HITS = _REGISTRY.counter(
@@ -69,6 +77,15 @@ class _Entry:
         self.shapes = shapes
         self.circuit_ref = circuit_ref
 
+    def describes(self, circuit, objects, shapes) -> bool:
+        """Whether this entry is still *circuit*'s current plan."""
+        return (
+            self.circuit_ref() is circuit
+            and self.shapes == shapes
+            and len(self.objects) == len(objects)
+            and all(a is b for a, b in zip(self.objects, objects))
+        )
+
 
 class PlanCache:
     """Bounded LRU cache of :class:`CompiledCircuit` plans."""
@@ -79,13 +96,14 @@ class PlanCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         # Structural level: fingerprint tuple -> PlanStructure.  Small
-        # (value-free index arrays + one exec'd function), so the same
+        # (value-free index arrays and scatter programs), so the same
         # maxsize bound is generous.
         self._structures: "OrderedDict[tuple, object]" = OrderedDict()
-        # Concurrent Session.submit() handles share one session cache
-        # from their driver threads; the LRU bookkeeping (get ->
-        # move_to_end -> insert -> evict) must not interleave.  The
-        # weakref eviction callback can fire on any thread, hence RLock.
+        # Concurrent Session.submit() handles and the daemon's job
+        # threads share the process cache; the LRU bookkeeping (get ->
+        # move_to_end -> insert -> evict) and the counters must not
+        # interleave.  The weakref eviction callback can fire on any
+        # thread, hence RLock.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -98,35 +116,20 @@ class PlanCache:
     def plan_for(self, circuit) -> Optional[object]:
         """The compiled plan for *circuit* (None when uncompilable).
 
-        Cached per circuit and invalidated exactly like the PR-1
-        per-circuit cache: any change to the parameter-object identity
-        list or the per-element batch shapes triggers a recompile.
+        Any change to the circuit's parameter-object identity list or
+        per-element batch shapes triggers a recompile.
         """
-        from repro.circuit.netlist import fingerprint_matches
-
         objects, shapes = circuit._param_fingerprint()
         key = id(circuit)
         with self._lock:
             entry = self._entries.get(key)
-            if (
-                entry is not None
-                and entry.circuit_ref() is circuit
-                and fingerprint_matches(entry.objects, entry.shapes,
-                                        objects, shapes)
-            ):
+            if entry is not None and entry.describes(circuit, objects, shapes):
                 self.hits += 1
                 _HITS.inc()
                 self._entries.move_to_end(key)
                 return entry.plan
             self.misses += 1
             _MISSES.inc()
-
-        from repro.circuit.compiled import (
-            PlanStructure,
-            UnsupportedCircuitError,
-            compile_circuit,
-            structural_fingerprint,
-        )
 
         # Structural level: same topology -> reuse the index bookkeeping
         # and scatter programs, only bind this circuit's values.
@@ -137,10 +140,10 @@ class PlanCache:
                 structure = self._structures.get(skey)
                 if structure is not None:
                     self._structures.move_to_end(skey)
+                    self.structural_hits += 1
+                    _STRUCT_HITS.inc()
 
         if structure is not None:
-            self.structural_hits += 1
-            _STRUCT_HITS.inc()
             plan = compile_circuit(circuit, structure)
         else:
             # Compile outside the lock (it can be the expensive part);
@@ -162,10 +165,10 @@ class PlanCache:
                     plan = compile_circuit(circuit)
                 sp.set(compiled=plan is not None)
             _COMPILE_SECONDS.observe(time.perf_counter() - compile_start)
-            self.structural_compiles += 1
-            _STRUCT_COMPILES.inc()
-            if skey is not None and structure is not None:
-                with self._lock:
+            with self._lock:
+                self.structural_compiles += 1
+                _STRUCT_COMPILES.inc()
+                if skey is not None and structure is not None:
                     self._structures[skey] = structure
                     self._structures.move_to_end(skey)
                     while len(self._structures) > self.maxsize:
@@ -198,3 +201,20 @@ class PlanCache:
             "structural_compiles": self.structural_compiles,
             "structures": len(self._structures),
         }
+
+
+_PROCESS_PLAN_CACHE: Optional[PlanCache] = None
+_PROCESS_LOCK = threading.Lock()
+
+
+def process_plan_cache() -> PlanCache:
+    """This process's plan cache, created on first use.
+
+    Tests that need a cold cache reset ``_PROCESS_PLAN_CACHE = None``.
+    """
+    global _PROCESS_PLAN_CACHE
+    if _PROCESS_PLAN_CACHE is None:
+        with _PROCESS_LOCK:
+            if _PROCESS_PLAN_CACHE is None:
+                _PROCESS_PLAN_CACHE = PlanCache()
+    return _PROCESS_PLAN_CACHE

@@ -393,6 +393,12 @@ class ClusterExecutor(Executor):
         if self._closed:
             return
         self._closed = True
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

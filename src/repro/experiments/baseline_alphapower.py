@@ -88,7 +88,7 @@ def run(spec: InverterSpec = InverterSpec(600.0, 300.0),
     factories = {
         "golden": session.nominal_factory("bsim"),
         "vs": session.nominal_factory("vs"),
-        "alpha-power": session.equip(_AlphaPowerFactory(ap_cards)),
+        "alpha-power": _AlphaPowerFactory(ap_cards),
     }
     delays: Dict[str, Dict[str, float]] = {}
     for name, factory in factories.items():

@@ -104,34 +104,15 @@ def run_target_samples(
 # ----------------------------------------------------------------------
 # Circuit-level Monte-Carlo through device factories.
 # ----------------------------------------------------------------------
-_PROCESS_PLAN_CACHE = None
-
-
-def _process_plan_cache():
-    """One compiled-plan cache per process (parent or pool worker).
-
-    Shard factories cannot share the parent session's cache across
-    process boundaries, but within a process every shard of every wave
-    hits the same netlist shapes — compiling once per process instead of
-    once per shard is what keeps the sharded path's overhead flat.
-    """
-    global _PROCESS_PLAN_CACHE
-    if _PROCESS_PLAN_CACHE is None:
-        from repro.api.plans import PlanCache
-
-        _PROCESS_PLAN_CACHE = PlanCache()
-    return _PROCESS_PLAN_CACHE
-
-
 @dataclass(frozen=True)
 class FactoryMapTask:
     """One shard of ``work(factory) -> (n,) array`` circuit Monte-Carlo.
 
     Builds a shard-local :class:`MonteCarloDeviceFactory` seeded by the
-    shard stream, attaches the process plan cache, and runs *work*
-    (a picklable callable: module-level function or frozen dataclass).
-    Worker processes keep their own compiled-plan caches — plans are
-    per-process state, and each long-lived pool worker compiles once.
+    shard stream and runs *work* (a picklable callable: module-level
+    function or frozen dataclass).  Its circuits compile through the
+    process plan cache (:func:`repro.circuit.plans.process_plan_cache`),
+    so each long-lived pool worker compiles a topology once.
 
     Executors batch all same-task shards of a chunk through
     :meth:`run_chunk` — one Newton solve over the concatenated sample
@@ -153,10 +134,6 @@ class FactoryMapTask:
             model=self.model,
         )
 
-    def _equip(self, factory):
-        factory.plan_cache = _process_plan_cache()
-        return factory
-
     def _work(self, factory, n_samples: int) -> np.ndarray:
         values = np.asarray(self.work(factory))
         if values.ndim < 1 or values.shape[0] != n_samples:
@@ -168,7 +145,7 @@ class FactoryMapTask:
         return values
 
     def __call__(self, shard: Shard) -> np.ndarray:
-        return self._work(self._equip(self._factory(shard)), shard.n_samples)
+        return self._work(self._factory(shard), shard.n_samples)
 
     def run_chunk(self, shards) -> list:
         """Evaluate several shards as ONE batched factory-map call.
@@ -185,9 +162,7 @@ class FactoryMapTask:
             return [(shard.index, self(shard)) for shard in shards]
         from repro.cells.factory import CoalescedFactory
 
-        factory = self._equip(
-            CoalescedFactory([self._factory(shard) for shard in shards])
-        )
+        factory = CoalescedFactory([self._factory(shard) for shard in shards])
         values = self._work(factory, factory.n_samples)
         pairs, offset = [], 0
         for shard in shards:

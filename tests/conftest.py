@@ -18,3 +18,13 @@ def technology() -> Technology:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(99)
+
+
+@pytest.fixture()
+def cold_plan_cache(monkeypatch):
+    """A fresh process plan cache for one test; the warm one comes back
+    afterwards."""
+    import repro.circuit.plans as plans
+
+    monkeypatch.setattr(plans, "_PROCESS_PLAN_CACHE", None)
+    return plans.process_plan_cache()

@@ -3,7 +3,7 @@
 Covers: spec validation, the SeedSequence seed tree (including its
 bit-compatibility with the legacy per-experiment seeding), session seed
 reproducibility, compiled vs per-element (generic) MNA agreement,
-the session plan cache, the `Result` envelope's JSON round trip, the
+the process plan cache, the `Result` envelope's JSON round trip, the
 experiment registry, and batched-vs-scalar equivalence of the AC and
 DC-sweep analyses driven through `Session.run` (the two analyses
 PR 1's equivalence suite left out).
@@ -32,6 +32,7 @@ from repro.cells.factory import RecordingFactory, ScalarReplayFactory
 from repro.cells.inverter import InverterSpec, build_inverter_fo, default_pulse
 from repro.circuit import Circuit, Resistor
 from repro.circuit.dcop import initial_guess
+from repro.circuit.plans import process_plan_cache
 
 RTOL = 1e-9
 
@@ -272,53 +273,105 @@ class TestBackendSelection:
 
 
 class TestPlanCache:
-    def test_factory_circuits_share_the_session_cache(self, session):
-        circuit, _ = TestBackendSelection()._circuit(session)
-        assert circuit.plan_cache is session.plan_cache
+    def test_circuits_compile_through_the_process_cache(
+            self, session, cold_plan_cache):
+        circuit, hints = TestBackendSelection()._circuit(session)
+        result = session.run(DCOp(node_hints=hints), circuit)
+        assert process_plan_cache() is cold_plan_cache
+        assert cold_plan_cache.misses == 1
+        assert circuit.compiled() is cold_plan_cache.plan_for(circuit)
+        assert result.meta["plan_cache"]["misses"] == 1
 
-    def test_repeat_solves_hit_the_cache(self, session):
+    def test_repeat_solves_hit_the_cache(self, session, cold_plan_cache):
         circuit, hints = TestBackendSelection()._circuit(session)
         spec = DCOp(node_hints=hints)
         session.run(spec, circuit)
-        misses = session.plan_cache.misses
+        misses = cold_plan_cache.misses
         session.run(spec, circuit)
-        assert session.plan_cache.misses == misses
-        assert session.plan_cache.hits >= 1
+        assert cold_plan_cache.misses == misses
+        assert cold_plan_cache.hits >= 1
+
+    def test_sessions_share_one_compile(self, technology, cold_plan_cache):
+        """Same-topology circuits solved by two sessions compile once."""
+        for seed in (1, 2):
+            session = Session(technology=technology, seed=seed)
+            circuit, hints = TestBackendSelection()._circuit(session)
+            session.run(DCOp(node_hints=hints), circuit)
+        stats = cold_plan_cache.stats()
+        assert stats["structural_compiles"] == 1
+        assert stats["structural_hits"] == 1
 
     def test_cache_is_bounded(self, session):
         cache = PlanCache(maxsize=2)
-        small = Session(technology=session.technology, plan_cache=cache)
-        for k in range(4):
-            circuit, hints = TestBackendSelection()._circuit(
-                small, seed_offset=30 + k
-            )
-            small.run(DCOp(node_hints=hints), circuit)
-        assert len(cache) <= 2
+        circuits = [
+            TestBackendSelection()._circuit(session, seed_offset=30 + k)[0]
+            for k in range(4)
+        ]
+        for circuit in circuits:
+            assert cache.plan_for(circuit) is not None
+        assert len(cache) == 2
+        assert cache.stats()["structures"] == 1
 
-    def test_entries_die_with_their_circuit(self, session):
+    def test_entries_die_with_their_circuit(self, session, cold_plan_cache):
         """A collected circuit must not pin its plan (and the batched
-        device-parameter arrays inside it) in the session cache."""
+        device-parameter arrays inside it) in the process cache."""
         import gc
 
         circuit, hints = TestBackendSelection()._circuit(session)
         session.run(DCOp(node_hints=hints), circuit)
-        size_before = len(session.plan_cache)
+        size_before = len(cold_plan_cache)
         del circuit, hints
         gc.collect()
-        assert len(session.plan_cache) == size_before - 1
+        assert len(cold_plan_cache) == size_before - 1
 
-    def test_equip_adopts_custom_factories(self, technology):
+    def test_custom_factories_run_compiled(self, technology, cold_plan_cache):
         from repro.cells.factory import NominalDeviceFactory
 
         class CustomFactory(NominalDeviceFactory):
             """Stand-in for corner/replay factories built by callers."""
 
         session = Session(technology=technology)
-        factory = session.equip(CustomFactory(technology, "vs"))
-        circuit, hints = build_inverter_fo(factory, InverterSpec(), 0.9)
+        circuit, hints = build_inverter_fo(
+            CustomFactory(technology, "vs"), InverterSpec(), 0.9)
         result = session.run(DCOp(node_hints=hints), circuit)
-        assert circuit.plan_cache is session.plan_cache
         assert result.backend == "compiled"
+        assert cold_plan_cache.stats()["structural_compiles"] == 1
+
+    def test_counters_are_consistent_under_threads(self):
+        """Concurrent job threads share the process cache: every call
+        is counted once, and every miss is a structural hit or compile."""
+        import sys
+        import threading
+
+        cache = PlanCache()
+        n_threads, n_calls = 8, 100
+        barrier = threading.Barrier(n_threads)
+
+        def hammer(k):
+            barrier.wait()
+            for call in range(n_calls):
+                if call % 2 == 0:  # a fresh circuit misses, its repeat hits
+                    circuit = Circuit()
+                    circuit.add_vsource("a", "gnd", 1.0, name="V")
+                    circuit.add_resistor("a", "gnd", 1e3 + k, name="R")
+                cache.plan_for(circuit)
+
+        threads = [threading.Thread(target=hammer, args=(k,))
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * n_calls
+        assert (stats["structural_hits"] + stats["structural_compiles"]
+                == stats["misses"])
 
 
 class TestACAndDCSweepEquivalence:

@@ -23,6 +23,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,14 @@ class TestExecutorLifecycle:
         executor.close()
         executor.close()
         executor.__del__()
+
+    def test_cluster_close_wakes_the_accept_thread(self):
+        executor = ClusterExecutor("tcp://127.0.0.1:0")
+        time.sleep(0.2)  # let the accept thread block in accept()
+        start = time.perf_counter()
+        executor.close()
+        assert time.perf_counter() - start < 1.0
+        assert not executor._accept_thread.is_alive()
 
     def test_session_is_a_context_manager(self, technology):
         with Session(technology=technology, seed=SEED, executor=1) as s:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import repro.runtime.tasks as tasks_mod
+import repro.circuit.plans as plans
 from repro.api import Execution, FactoryMap, Session, Sweep
 from repro.runtime.sharding import plan_shards
 from repro.runtime.tasks import FactoryMapTask
@@ -49,7 +49,7 @@ def session(technology) -> Session:
 
 def _fresh_process_cache():
     """Reset the per-process plan cache so each run compiles cold."""
-    tasks_mod._PROCESS_PLAN_CACHE = None
+    plans._PROCESS_PLAN_CACHE = None
 
 
 class _FiniteDifferenceVSDevice(VSDevice):
@@ -238,7 +238,7 @@ class TestCompileEconomics:
         work = SNMWork(SRAMSpec(), technology.vdd, "read")
         session.map_mc(work, N_MC, model="vs",
                        execution=Execution(shard_size=8))
-        stats = tasks_mod._process_plan_cache().stats()
+        stats = plans.process_plan_cache().stats()
         # The butterfly measurement solves two forced half-cell
         # topologies; every sweep point and every shard rebinds a cached
         # structure instead of recompiling.
@@ -248,7 +248,7 @@ class TestCompileEconomics:
         # structural hits (value binding only), zero new compiles.
         session.map_mc(work, N_MC, model="vs",
                        execution=Execution(shard_size=8))
-        stats = tasks_mod._process_plan_cache().stats()
+        stats = plans.process_plan_cache().stats()
         assert stats["structural_compiles"] == 2
         assert stats["structural_hits"] >= 2
         _fresh_process_cache()

@@ -299,6 +299,29 @@ class TestYieldCheckpoint:
 
 
 # ----------------------------------------------------------------------
+# Compile economics of a circuit metric.
+# ----------------------------------------------------------------------
+def test_sram_yield_compiles_once_per_half_cell_topology(session,
+                                                         cold_plan_cache):
+    """Every block's SNM circuits go through the process plan cache: a
+    2-block run compiles each forced half-cell topology once and binds
+    the second block's circuits to the cached structures."""
+    from repro.cells.sram import SRAMSpec
+    from repro.experiments.yield_rare_event import SRAMCriticalSNM
+
+    cell = SRAMSpec()
+    result = session.run(Yield(
+        metric=SRAMCriticalSNM(cell, session.technology.vdd, "read"),
+        threshold=0.09, shifts={"vt0": 2.0}, n_samples=16, n_rounds=0,
+        block_size=8, w_nm=cell.wn_pd_nm, l_nm=cell.l_nm, fail_below=True,
+    ))
+    assert result.payload.n_samples == 16
+    stats = cold_plan_cache.stats()
+    assert 1 <= stats["structural_compiles"] == stats["structures"] <= 2
+    assert stats["structural_hits"] >= 1
+
+
+# ----------------------------------------------------------------------
 # The CE machinery.
 # ----------------------------------------------------------------------
 class TestMixtureAlgebra:
